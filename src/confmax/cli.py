@@ -37,7 +37,6 @@ _DEFAULTS = {
     "max_iters": 500,
     "seed": 0,
     "k": 8,
-    "jobs": 1,
     "out": "out",
 }
 
@@ -209,7 +208,6 @@ def build_parser():
         sp.add_argument("--max-iters", dest="max_iters", type=int)
         sp.add_argument("--out")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--jobs", type=int)
         sp.add_argument("-k", type=int, dest="k")
         sp.add_argument("--quick", action="store_true", default=False)
         sp.add_argument("--dump-matrices", action="store_true", default=False)

@@ -61,13 +61,13 @@ def cluster_eigenvalues(lam, rel_gap=DEFAULT_REL_GAP):
 
 
 def _check_inertia(M):
-    """Refuse indefinite mass matrices (possible in floor = -1/2 mode)."""
-    Md = M.toarray() if M.shape[0] <= 6000 else None
-    if Md is not None:
-        lo = float(np.linalg.eigvalsh(Md)[0])
-    else:
-        lo = float(eigsh(M, k=1, which="SA", return_eigenvectors=False,
-                         maxiter=5000)[0])
+    """Refuse indefinite mass matrices (possible in floor = -1/2 mode).
+
+    Only reached when some element block is indefinite, which leaves the
+    sum undecided.
+    """
+    lo = float(eigsh(M, k=1, which="SA", return_eigenvectors=False,
+                     maxiter=5000)[0])
     scale = abs(M.diagonal()).max()
     if lo < -1e-12 * scale:
         raise IndefiniteMassError(
@@ -90,12 +90,12 @@ def solve_pencil(K, M, k, tol=1e-10, rel_gap=DEFAULT_REL_GAP, seed=0):
         raise ValueError("k must be >= 1")
     Kmat = K.matrix if isinstance(K, StiffnessMatrix) else K
     if isinstance(M, MassMatrix):
-        Mmat, min_density = M.matrix, M.min_density
+        Mmat, psd = M.matrix, M.psd_blocks
     else:
-        Mmat, min_density = M, 0.0
+        Mmat, psd = M, True
     V = Kmat.shape[0]
 
-    if min_density < 0:
+    if not psd:
         _check_inertia(Mmat)
 
     mdiag = np.asarray(Mmat.diagonal())

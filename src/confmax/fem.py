@@ -83,7 +83,7 @@ class StiffnessMatrix:
 class MassMatrix:
     matrix: sparse.csr_matrix
     mode: str
-    min_density: float
+    psd_blocks: bool   # every element block is PSD, hence so is the matrix
 
     @property
     def shape(self):
@@ -124,11 +124,32 @@ def assemble_stiffness(mesh):
     return StiffnessMatrix(K, tuple(int(t) for t in thin))
 
 
+def _element_blocks_psd(m):
+    """True when every consistent element mass block is PSD, up to round-off.
+
+    For corner densities m the block is proportional to D + O, with diagonal
+    4 m_a + 2 sum(m) and off-diagonal m_a + m_b + sum(m); a symmetric matrix
+    is PSD iff all its principal minors are >= 0. Rows are scaled by max |m|,
+    so the round-off allowance is relative.
+    """
+    s = np.abs(m).max(axis=1, keepdims=True)
+    m = m / np.where(s > 0, s, 1.0)
+    tot = m.sum(axis=1)
+    d0, d1, d2 = (4.0 * m + 2.0 * tot[:, None]).T
+    o01, o02, o12 = (m[:, a] + m[:, b] + tot for a, b in ((0, 1), (0, 2), (1, 2)))
+    minors = (d0, d1, d2, d0 * d1 - o01 ** 2, d0 * d2 - o02 ** 2, d1 * d2 - o12 ** 2,
+              d0 * d1 * d2 + 2.0 * o01 * o02 * o12
+              - d0 * o12 ** 2 - d1 * o02 ** 2 - d2 * o01 ** 2)
+    return all(bool(np.all(x >= -1e-12)) for x in minors)
+
+
 def assemble_mass(mesh, density, mode="consistent"):
     """Mass matrix for the P1 density (DensityField or raw per-vertex array).
 
     Consistent mode integrates hat x hat x (P1 density) exactly per triangle;
-    lumped mode is its row-sum diagonal.
+    lumped mode is its row-sum diagonal. A signed density gets an O(F)
+    semidefiniteness test (per element block; per diagonal entry when lumped)
+    recorded in psd_blocks.
     """
     mu = density.values if isinstance(density, DensityField) else np.asarray(density, float)
     tri = mesh.triangles
@@ -142,6 +163,7 @@ def assemble_mass(mesh, density, mode="consistent"):
         for a in range(3):
             np.add.at(diag, tri[:, a], (A / 12.0) * (m[:, a] + tot))
         M = sparse.diags(diag).tocsr()
+        psd = bool(diag.min() >= 0.0)
     elif mode == "consistent":
         rows, cols, vals = [], [], []
         tot = m.sum(axis=1)
@@ -160,9 +182,10 @@ def assemble_mass(mesh, density, mode="consistent"):
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(V, V)).tocsr()
         M.sum_duplicates()
+        psd = bool(mu.min() >= 0.0) or _element_blocks_psd(m)
     else:
         raise ValueError(f"unknown mass mode {mode!r}")
-    return MassMatrix(M, mode, float(mu.min()))
+    return MassMatrix(M, mode, psd)
 
 
 def gradient_field(mesh, u):

@@ -1,11 +1,16 @@
 """Sphere frames: eigenfunction families with pointwise squared sum ~ 1.
 
 Selecting the family reduces to a tiny PSD least-squares problem over the
-Gram coefficient matrix Q on the eigenspace basis; the resulting map
-phi = (u_1, ..., u_l) is tested for harmonicity via its discrete tension field.
+Gram coefficient matrix Q on the eigenspace basis. Its objective is the exact
+quadratic form f(Q) = <Q, T Q> - 2 <G, Q> + A in the moments
+T_ab,cd = int v_a v_b v_c v_d and G_ab = int v_a v_b, built once per call, so
+each projected-gradient step costs O(m^4) whatever the mesh size. The
+resulting map phi = (u_1, ..., u_l) is tested for harmonicity via its
+discrete tension field.
 """
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -39,16 +44,37 @@ class SphereFrame:
     lam: float                # cluster eigenvalue
     objective: float          # final value of the sphere-constraint least squares
     attained: bool            # False when the objective stagnated above threshold
+    iterations: int = 0       # accepted projected-gradient steps
+    stop_reason: str | None = None  # "stagnated" | "no-descent" | "iteration-cap"
 
 
-def _quad_values(basis, mesh):
-    """Basis values at all quadrature points, plus area-scaled weights."""
-    tri = mesh.triangles
-    corner = basis[tri]                       # (F, 3, m)
-    vals = np.einsum("qc,fcm->fqm", _QP, corner)  # (F, 6, m)
-    weights = np.outer(mesh.areas, _QW)            # (F, 6)
+def _quadrature_points(basis, mesh):
+    """Per Dunavant point: basis values (F, m) and area-scaled weights (F,)."""
+    corner = basis[mesh.triangles]                 # (F, 3, m)
+    for bary, weight in zip(_QP, _QW):
+        yield np.einsum("c,fcm->fm", bary, corner), weight * mesh.areas
+
+
+def _moments(basis, mesh):
+    """T = sum_q w_q k_q k_q^T and G = sum_q w_q k_q with k_q = vec(v_q v_q^T).
+
+    Accumulated one quadrature point at a time, so the largest temporary is
+    one (F, m^2) slab.
+    """
     m = basis.shape[1]
-    return vals.reshape(-1, m), weights.ravel()
+    T = np.zeros((m * m, m * m))
+    G = np.zeros(m * m)
+    for v, wq in _quadrature_points(basis, mesh):
+        k = (v[:, :, None] * v[:, None, :]).reshape(len(v), m * m)
+        T += k.T @ (k * wq[:, None])
+        G += wq @ k
+    return T, G
+
+
+def _objective(basis, mesh, Q):
+    """Exact quadrature of (sum Q_ab v_a v_b - 1)^2 over the mesh."""
+    return sum(float(wq @ (np.einsum("fa,ab,fb->f", v, Q, v) - 1.0) ** 2)
+               for v, wq in _quadrature_points(basis, mesh))
 
 
 def _psd_clip(Q):
@@ -60,45 +86,46 @@ def _psd_clip(Q):
 def select_frame(basis, mesh, density, max_iters=2000, stagnation_tol=1e-3):
     """Pick Q >= 0 minimizing the exact integral of (sum Q_ab v_a v_b - 1)^2.
 
-    Projected gradient on the PSD cone with Armijo backtracking; the quartic
-    objective is integrated exactly per triangle. The soft mass constraint
+    Projected gradient on the PSD cone with Armijo backtracking, run on the
+    moment form f(Q) = <Q, T Q> - 2 <G, Q> + A: the gradient is 2 (T q - G)
+    and a trial step D is judged by its exact decrease <D, T D> + <grad, D>,
+    so a step costs O(m^4) after the O(F m^4) moment build. The returned
+    objective is a fresh quadrature at the final Q. The soft mass constraint
     int w mu dA <= 1 + 1e-6 is enforced by rescaling.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[1] == 0:
         raise FrameError("empty eigenbasis")
     m = basis.shape[1]
-    Vq, wq = _quad_values(basis, mesh)
-
-    def objective(Q):
-        s = np.einsum("qa,ab,qb->q", Vq, Q, Vq) - 1.0
-        return float(wq @ s ** 2), s
-
-    def gradient(s):
-        return 2.0 * (Vq * (wq * s)[:, None]).T @ Vq
+    T, G = _moments(basis, mesh)
 
     Q = np.eye(m) / m
-    f, s = objective(Q)
+    f = _objective(basis, mesh, Q)
     alpha = 1.0 / max(f, 1.0)
+    iterations, stop_reason = 0, "iteration-cap"
     for _ in range(max_iters):
-        G = gradient(s)
+        grad = 2.0 * (T @ Q.ravel() - G)
         accepted = False
         for _ in range(40):
-            Qn = _psd_clip(Q - alpha * G)
-            fn, sn = objective(Qn)
-            step2 = float(np.sum((Qn - Q) ** 2))
+            Qn = _psd_clip(Q - alpha * grad.reshape(m, m))
+            d = (Qn - Q).ravel()
+            step2 = float(d @ d)
             if step2 == 0.0:
                 break
-            if fn <= f - 1e-4 / alpha * step2:
+            decrease = float(d @ (T @ d) + grad @ d)
+            if decrease <= -1e-4 / alpha * step2:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
+            stop_reason = "no-descent"
             break
-        rel_drop = (f - fn) / max(f, 1e-300)
-        Q, f, s = Qn, fn, sn
+        rel_drop = -decrease / max(f, 1e-300)
+        Q, f = Qn, f + decrease
+        iterations += 1
         alpha *= 1.5
         if rel_drop < 1e-15:
+            stop_reason = "stagnated"
             break
 
     mu = density.values if isinstance(density, DensityField) else np.asarray(density, float)
@@ -107,7 +134,7 @@ def select_frame(basis, mesh, density, max_iters=2000, stagnation_tol=1e-3):
     mass_w = float(np.sum(Q * Gm))
     if mass_w > 1.0 + 1e-6:
         Q = Q / mass_w
-        f, _ = objective(Q)
+    f = _objective(basis, mesh, Q)
 
     attained = f <= stagnation_tol * mesh.area
     if not attained:
@@ -120,12 +147,12 @@ def select_frame(basis, mesh, density, max_iters=2000, stagnation_tol=1e-3):
     U = basis @ (P[:, keep] * np.sqrt(d[keep]))
     w = np.einsum("va,ab,vb->v", basis, Q, basis)
     return SphereFrame(ell=int(keep.sum()), U=U, Q=Q, w=w,
-                       lam=float("nan"), objective=f, attained=attained)
+                       lam=float("nan"), objective=f, attained=attained,
+                       iterations=iterations, stop_reason=stop_reason)
 
 
 def with_eigenvalue(frame, lam):
-    return SphereFrame(frame.ell, frame.U, frame.Q, frame.w, float(lam),
-                       frame.objective, frame.attained)
+    return dataclasses.replace(frame, lam=float(lam))
 
 
 def harmonic_residual(mesh, frame, density, w_floor=1e-6):

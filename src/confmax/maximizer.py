@@ -125,7 +125,7 @@ def _solve_and_frame(K, mesh, mu, config):
     return spectral, frame
 
 
-def ascent_step(mesh, mu_k, config, K=None, state=None):
+def ascent_step(mesh, mu_k, config, K=None):
     """One damped fixed-point step with the eigenvalue-ascent safeguard.
 
     Returns (mu_next, spectral_at_mu_k, frame_at_mu_k, info). info records the
@@ -135,10 +135,7 @@ def ascent_step(mesh, mu_k, config, K=None, state=None):
     if K is None:
         K = assemble_stiffness(mesh)
     floor, cap = mu_k.floor, mu_k.cap
-    if state is not None and "spectral" in state:
-        spectral, frame = state["spectral"], state["frame"]
-    else:
-        spectral, frame = _solve_and_frame(K, mesh, mu_k, config)
+    spectral, frame = _solve_and_frame(K, mesh, mu_k, config)
     lam_k = spectral.lambda1
     nu = recover_density(mesh, frame)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import confmax.eigen
 from confmax.eigen import (IndefiniteMassError, cluster_eigenvalues, solve_pencil,
                            spectrum_rows)
 from confmax.fem import assemble_mass, assemble_stiffness, uniform_density
@@ -96,6 +97,32 @@ def test_indefinite_mass_refused(sphere2):
     K = assemble_stiffness(sphere2)
     with pytest.raises(IndefiniteMassError, match="indefinite mass"):
         solve_pencil(K, M, k=2)
+
+
+def test_signed_density_with_psd_blocks_needs_no_inertia_solve(sphere2, monkeypatch):
+    mu = uniform_density(sphere2).values.copy()
+    mu[0] *= -0.5  # one negative corner per element keeps every block PSD
+    M = assemble_mass(sphere2, mu)
+    assert M.psd_blocks
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inertia solve should not run")
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(confmax.eigen, "_check_inertia", forbidden)
+    res = solve_pencil(assemble_stiffness(sphere2), M, k=2)
+    assert np.all(res.eigenvalues > 0)
+
+
+def test_indefinite_blocks_fall_back_to_global_check(sphere2):
+    # negative corners next to each other break some element blocks, yet the
+    # assembled matrix stays positive definite, which the fallback confirms
+    mu = uniform_density(sphere2).values.copy()
+    mu[::7] *= -0.2
+    M = assemble_mass(sphere2, mu)
+    assert not M.psd_blocks
+    assert np.linalg.eigvalsh(M.matrix.toarray())[0] > 0
+    res = solve_pencil(assemble_stiffness(sphere2), M, k=2)
+    assert np.all(res.eigenvalues > 0)
 
 
 def test_zero_mass_rows_excluded(sphere2):

@@ -1,19 +1,111 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from confmax.eigen import solve_pencil
 from confmax.fem import assemble_mass, assemble_stiffness, uniform_density
-from confmax.frame import (FrameError, SphereFrame, harmonic_residual,
+from confmax.frame import (FrameError, SphereFrame, _moments, _objective,
+                           _quadrature_points, harmonic_residual,
                            recover_density, select_frame, with_eigenvalue)
 from confmax.mesh import gen_flat_torus, gen_icosphere
 from conftest import EQUILATERAL
 
 
-def _first_cluster(mesh, k=9, seed=0):
+def _first_cluster(mesh, k=9, seed=0, rel_gap=0.02):
     K = assemble_stiffness(mesh)
     mu = uniform_density(mesh)
-    res = solve_pencil(K, assemble_mass(mesh, mu), k=k, seed=seed)
+    res = solve_pencil(K, assemble_mass(mesh, mu), k=k, seed=seed, rel_gap=rel_gap)
     return res, mu
+
+
+@pytest.fixture(scope="module", params=["icosphere:2", "equilateral torus n=8"])
+def lambda1_basis(request, sphere2):
+    mesh = sphere2 if request.param == "icosphere:2" else gen_flat_torus(EQUILATERAL, 8, 8)
+    res, mu = _first_cluster(mesh, k=8)
+    return mesh, mu, res.cluster_basis(0)
+
+
+def _random_symmetric(m, seed):
+    X = np.random.default_rng(seed).standard_normal((m, m)) / m
+    return 0.5 * (X + X.T)
+
+
+def _quadrature_objective_and_gradient(basis, mesh, Q):
+    f, g = 0.0, 0.0
+    for v, wq in _quadrature_points(basis, mesh):
+        s = np.einsum("fa,ab,fb->f", v, Q, v) - 1.0
+        f += float(wq @ s ** 2)
+        g = g + 2.0 * (v * (wq * s)[:, None]).T @ v
+    return f, g
+
+
+def _exact_misfit(basis, mesh, Q):
+    """int (w - 1)^2 dA from the barycentric monomial integrals, no quadrature.
+
+    On a triangle w - 1 = lam^T E lam with E = C Q C^T - 1 (C the corner
+    values, lam the barycentric coordinates, sum lam = 1), and
+    int lam^alpha dA = 2 A alpha! / (|alpha| + 2)!.
+    """
+    mono = np.zeros((3,) * 4)
+    for idx in itertools.product(range(3), repeat=4):
+        counts = np.bincount(idx, minlength=3)
+        mono[idx] = 2.0 * math.prod(math.factorial(c) for c in counts) / math.factorial(6)
+    C = basis[mesh.triangles]
+    E = np.einsum("fia,ab,fjb->fij", C, Q, C) - 1.0
+    return float(mesh.areas @ np.einsum("fij,fkl,ijkl->f", E, E, mono))
+
+
+def test_moment_form_matches_quadrature(lambda1_basis):
+    mesh, _, basis = lambda1_basis
+    T, G = _moments(basis, mesh)
+    for seed in range(3):
+        Q = _random_symmetric(basis.shape[1], seed)
+        q = Q.ravel()
+        f_quad, g_quad = _quadrature_objective_and_gradient(basis, mesh, Q)
+        assert abs(q @ T @ q - 2.0 * G @ q + mesh.area - f_quad) < 1e-12 * mesh.area
+        g_mom = 2.0 * (T @ q - G)
+        assert np.abs(g_mom - g_quad.ravel()).max() < 1e-12 * mesh.area
+
+
+def test_moment_gradient_matches_finite_differences(lambda1_basis):
+    mesh, _, basis = lambda1_basis
+    T, G = _moments(basis, mesh)
+    m = basis.shape[1]
+    Q, E = _random_symmetric(m, 1), _random_symmetric(m, 2)
+    h = 1e-4
+    fd = (_objective(basis, mesh, Q + h * E) - _objective(basis, mesh, Q - h * E)) / (2 * h)
+    directional = 2.0 * (T @ Q.ravel() - G) @ E.ravel()
+    assert abs(fd - directional) < 1e-8 * max(abs(directional), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_reported_objective_is_exact_misfit(lambda1_basis):
+    mesh, mu, basis = lambda1_basis
+    frame = select_frame(basis, mesh, mu)
+    exact = _exact_misfit(basis, mesh, frame.Q)
+    assert abs(frame.objective - exact) < 1e-12 * mesh.area
+    assert frame.objective == _objective(basis, mesh, frame.Q)
+
+
+def test_stop_reason_stagnated_on_sphere(sphere2):
+    res, mu = _first_cluster(sphere2, k=8)
+    frame = select_frame(res.cluster_basis(0), sphere2, mu)
+    assert (frame.stop_reason, frame.iterations) == ("stagnated", 12)
+    carried = with_eigenvalue(frame, res.lambda1)
+    assert (carried.stop_reason, carried.iterations) == ("stagnated", 12)
+
+
+def test_stop_reason_iteration_cap_on_merged_torus_cluster():
+    # n=16 splits lambda1 4+2; a 15% gap merges the six into one cluster that
+    # no PSD Q fits exactly, so the descent runs to its cap
+    mesh = gen_flat_torus(EQUILATERAL, 16, 16)
+    res, mu = _first_cluster(mesh, k=8, rel_gap=0.15)
+    basis = res.cluster_basis(0)
+    assert basis.shape[1] == 6
+    frame = select_frame(basis, mesh, mu)
+    assert (frame.stop_reason, frame.iterations) == ("iteration-cap", 2000)
 
 
 def test_sphere_frame_recovers_coordinates(sphere4):
