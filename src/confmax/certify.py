@@ -17,6 +17,7 @@ from .maximizer import detect_collapse, negative_measure, saturated_measure
 
 CERT_SCHEMA = "confspec-cert-1"
 _TOL_MESH = 0.02
+_SINGULAR_REL = 1e-3  # singular vertex: grad_sum below this fraction of its mean
 
 
 class CenteringError(RuntimeError):
@@ -28,8 +29,7 @@ def yang_yau_bound(genus):
     return 8.0 * np.pi * ((genus + 3) // 2)
 
 
-def certificate(mesh, mu, spectral, frame, singular_rel_threshold=1e-3,
-                radius_fractions=(0.05, 0.1, 0.2)):
+def certificate(mesh, mu, spectral, frame, radius_fractions=(0.05, 0.1, 0.2)):
     """Full diagnostic record for one (mesh, density, frame) triple."""
     if mu.mesh is not mesh or frame.U.shape[0] != mesh.vertex_count:
         raise ValueError("inconsistent mesh references across inputs")
@@ -45,13 +45,11 @@ def certificate(mesh, mu, spectral, frame, singular_rel_threshold=1e-3,
     nu = recover_density(mesh, frame)
     recovery_l1 = float(mesh.vertex_areas @ np.abs(nu.values - mu.values))
 
-    harmonic = harmonic_residual(mesh, frame, mu)
+    harmonic = harmonic_residual(mesh, frame)
 
-    grad_sum = np.zeros(mesh.vertex_count)
-    for i in range(frame.ell):
-        grad_sum += gradient_field(mesh, frame.U[:, i])[1]
+    grad_sum = gradient_field(mesh, frame.U)[1]
     mean_grad = float(mesh.vertex_areas @ grad_sum / mesh.area)
-    singular = np.nonzero(grad_sum < singular_rel_threshold * mean_grad)[0]
+    singular = np.nonzero(grad_sum < _SINGULAR_REL * mean_grad)[0]
     singular_vertices = [
         {"vertex": int(v), "w": float(frame.w[v]), "grad_sum": float(grad_sum[v])}
         for v in singular]

@@ -30,14 +30,18 @@ EXIT_NUMERIC = 3
 
 _DEFAULTS = {
     "density": "uniform",
-    "floor": 0.0,
-    "n_schedule": "4,16,64",
-    "damping": 0.5,
-    "tol": 1e-7,
-    "max_iters": 500,
-    "seed": 0,
-    "k": 8,
     "out": "out",
+}
+
+# CLI/config key -> (AscentConfig field, cast); unset keys keep the field default
+_ASCENT_KEYS = {
+    "n_schedule": ("n_schedule", lambda v: tuple(float(x) for x in v.split(","))),
+    "damping": ("damping", float),
+    "max_iters": ("max_iters", int),
+    "tol": ("lam_tol", float),
+    "floor": ("floor", float),
+    "seed": ("seed", int),
+    "k": ("k_eigen", int),
 }
 
 _LATTICES = {
@@ -99,16 +103,10 @@ def _density_init(spec, mesh):
 
 
 def _ascent_config(args, cfg):
-    sched = tuple(float(x) for x in str(_resolve(args, cfg, "n_schedule")).split(","))
-    return AscentConfig(
-        n_schedule=sched,
-        damping=float(_resolve(args, cfg, "damping", float)),
-        max_iters=int(_resolve(args, cfg, "max_iters", int)),
-        lam_tol=float(_resolve(args, cfg, "tol", float)),
-        floor=float(_resolve(args, cfg, "floor", float)),
-        seed=int(_resolve(args, cfg, "seed", int)),
-        k_eigen=int(_resolve(args, cfg, "k", int)),
-    )
+    given = {key: _resolve(args, cfg, key) for key in _ASCENT_KEYS}
+    return AscentConfig(**{name: cast(given[key])
+                           for key, (name, cast) in _ASCENT_KEYS.items()
+                           if given[key] is not None})
 
 
 def _write_csv(path, header, rows):
@@ -177,8 +175,9 @@ def cmd_maximize(args, cfg):
 def cmd_bench(args, cfg):
     out = Path(_resolve(args, cfg, "out"))
     out.mkdir(parents=True, exist_ok=True)
-    quick = bool(args.quick)
-    results = bench_mod.run_all(quick=quick, seed=int(_resolve(args, cfg, "seed", int)))
+    seed = _resolve(args, cfg, "seed", int)
+    results = bench_mod.run_all(quick=args.quick,
+                                seed=AscentConfig.seed if seed is None else seed)
     header = ["criterion", "pass", "value", "target", "detail"]
     rows = [[r.name, "PASS" if r.passed else "FAIL", r.value, r.target, r.detail]
             for r in results]
@@ -194,23 +193,28 @@ def build_parser():
                                 description="conformal eigenvalue maximization")
     p.add_argument("--config", help="TOML-style key = value config file")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in (("spectrum", cmd_spectrum), ("maximize", cmd_maximize),
-                     ("bench", cmd_bench)):
-        sp = sub.add_parser(name)
-        sp.set_defaults(func=fn)
+    spectrum = sub.add_parser("spectrum")
+    spectrum.set_defaults(func=cmd_spectrum)
+    maximize = sub.add_parser("maximize")
+    maximize.set_defaults(func=cmd_maximize)
+    bench = sub.add_parser("bench")
+    bench.set_defaults(func=cmd_bench)
+    # each subcommand takes only the flags it reads
+    for sp in (spectrum, maximize):
         sp.add_argument("--mesh")
         sp.add_argument("--gen")
         sp.add_argument("--density")
         sp.add_argument("--floor", type=float, choices=(0.0, -0.5))
         sp.add_argument("--n-schedule", dest="n_schedule")
-        sp.add_argument("--damping", type=float)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--max-iters", dest="max_iters", type=int)
+        sp.add_argument("-k", type=int, dest="k")
+        sp.add_argument("--dump-matrices", action="store_true")
+    maximize.add_argument("--damping", type=float)
+    maximize.add_argument("--tol", type=float)
+    maximize.add_argument("--max-iters", dest="max_iters", type=int)
+    for sp in (spectrum, maximize, bench):
         sp.add_argument("--out")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("-k", type=int, dest="k")
-        sp.add_argument("--quick", action="store_true", default=False)
-        sp.add_argument("--dump-matrices", action="store_true", default=False)
+    bench.add_argument("--quick", action="store_true")
     return p
 
 

@@ -48,9 +48,6 @@ class DensityField:
         """Integral of the P1 density over the mesh (exact quadrature)."""
         return float(self.mesh.vertex_areas @ self.values)
 
-    def with_bounds(self, floor, cap):
-        return DensityField(self.mesh, self.values, floor, cap)
-
 
 def density_mass(mesh, values):
     """Exact P1 integral of a raw per-vertex field."""
@@ -90,21 +87,9 @@ class MassMatrix:
         return self.matrix.shape
 
 
-def _cotangents(mesh):
-    """Per-triangle cotangents at each corner from intrinsic lengths, (F, 3)."""
-    l = mesh.triangle_edge_lengths
-    a2 = l ** 2
-    # cot at corner c = (b^2 + c^2 - a^2) / (4A), a the opposite edge
-    num = np.empty_like(l)
-    num[:, 0] = a2[:, 1] + a2[:, 2] - a2[:, 0]
-    num[:, 1] = a2[:, 0] + a2[:, 2] - a2[:, 1]
-    num[:, 2] = a2[:, 0] + a2[:, 1] - a2[:, 2]
-    return num / (4.0 * mesh.areas[:, None])
-
-
 def assemble_stiffness(mesh):
     """Cotangent stiffness: K_ij = -(cot a + cot b)/2 on edges, zero row sums."""
-    cot = _cotangents(mesh)
+    cot = mesh.cotangents
     # warn on nearly degenerate corners (angle below ~1e-8 rad => huge cot)
     thin = np.nonzero(np.abs(cot).max(axis=1) > 1.0 / 1e-8)[0]
     if thin.size:
@@ -188,24 +173,20 @@ def assemble_mass(mesh, density, mode="consistent"):
     return MassMatrix(M, mode, psd)
 
 
-def gradient_field(mesh, u):
-    """Squared P1 gradient of a per-vertex field.
+def gradient_field(mesh, U):
+    """Squared P1 gradient of a per-vertex field, or summed over a block.
 
-    Returns (per-triangle |grad u|^2, per-vertex area-weighted average).
-    Computed intrinsically: u^T K_elem u / A_elem per triangle.
+    U is one (V,) field or a (V, k) block of fields; for a block the result
+    is the column sum sum_i |grad u_i|^2. Returns (per-triangle value,
+    per-vertex area-weighted average). Computed intrinsically:
+    u^T K_elem u / A_elem per triangle.
     """
-    u = np.asarray(u, dtype=float)
-    cot = _cotangents(mesh)
-    tri = mesh.triangles
-    uv = u[tri]
-    energy = np.zeros(len(tri))
-    for c, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-        energy += 0.5 * cot[:, c] * (uv[:, a] - uv[:, b]) ** 2
-    tri_vals = energy / mesh.areas
-    vert = np.zeros(mesh.vertex_count)
-    np.add.at(vert, tri.ravel(), np.repeat(tri_vals * mesh.areas / 3.0, 3))
-    vert /= mesh.vertex_areas
-    return tri_vals, vert
+    uv = np.asarray(U, dtype=float).reshape(mesh.vertex_count, -1)[mesh.triangles]
+    energy = sum(0.5 * mesh.cotangents[:, c] * ((uv[:, a] - uv[:, b]) ** 2).sum(axis=1)
+                 for c, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))))
+    vert = np.bincount(mesh.triangles.ravel(), weights=np.repeat(energy / 3.0, 3),
+                       minlength=mesh.vertex_count)
+    return energy / mesh.areas, vert / mesh.vertex_areas
 
 
 def export_matrix_market(matrix, path):

@@ -155,7 +155,7 @@ def with_eigenvalue(frame, lam):
     return dataclasses.replace(frame, lam=float(lam))
 
 
-def harmonic_residual(mesh, frame, density, w_floor=1e-6):
+def harmonic_residual(mesh, frame, w_floor=1e-6):
     """Discrete tension-field test of the normalized map phi / sqrt(w).
 
     weak_residual aggregates all components in the Frobenius norm (this makes
@@ -172,9 +172,7 @@ def harmonic_residual(mesh, frame, density, w_floor=1e-6):
     phi[good] = frame.U[good] / np.sqrt(w[good])[:, None]
 
     K = assemble_stiffness(mesh).matrix
-    rho = np.zeros(mesh.vertex_count)
-    for j in range(frame.ell):
-        rho += gradient_field(mesh, phi[:, j])[1]
+    rho = gradient_field(mesh, phi)[1]
     Mplain = assemble_mass(mesh, np.ones(mesh.vertex_count)).matrix
 
     Kphi = K @ phi
@@ -183,10 +181,7 @@ def harmonic_residual(mesh, frame, density, w_floor=1e-6):
 
     # identity residual on the raw (unnormalized) frame
     a = np.einsum("vi,vi->v", frame.U, K @ frame.U)
-    b = np.zeros(mesh.vertex_count)
-    for i in range(frame.ell):
-        b += gradient_field(mesh, frame.U[:, i])[1]
-    b *= mesh.vertex_areas
+    b = gradient_field(mesh, frame.U)[1] * mesh.vertex_areas
     identity = float(np.abs(a - b).sum() / np.abs(b).sum())
     return {"weak_residual": weak, "identity_residual": identity}
 
@@ -198,22 +193,6 @@ def recover_density(mesh, frame):
     """
     if not frame.lam > 0:
         raise FrameError("frame carries no positive eigenvalue")
-    vert = np.zeros(mesh.vertex_count)
-    for i in range(frame.ell):
-        vert += gradient_field(mesh, frame.U[:, i])[1]
-    vert /= frame.lam
+    vert = gradient_field(mesh, frame.U)[1] / frame.lam
     vert /= mesh.vertex_areas @ vert
     return DensityField(mesh, vert)
-
-
-def export_frame_json(frame, path):
-    import json
-    from pathlib import Path
-    Path(path).write_text(json.dumps({
-        "ell": frame.ell,
-        "eigenvalue": frame.lam,
-        "Q": frame.Q.tolist(),
-        "U": frame.U.tolist(),
-        "w": frame.w.tolist(),
-        "objective": frame.objective,
-    }))

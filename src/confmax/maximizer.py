@@ -106,23 +106,16 @@ def project_density(mesh, values, floor, cap):
     return DensityField(mesh, out, floor, cap)
 
 
-def _lambda1_at(K, mesh, values, config):
+def _solve(K, mesh, density, config):
     # solve for the whole leading block: ARPACK handles degenerate lambda_1
     # clusters far better when the requested subspace spans them
-    M = assemble_mass(mesh, values)
-    res = solve_pencil(K, M, k=config.k_eigen, tol=config.eig_tol,
-                       rel_gap=config.rel_gap, seed=config.seed)
-    return res.lambda1
+    return solve_pencil(K, assemble_mass(mesh, density), k=config.k_eigen,
+                        tol=config.eig_tol, rel_gap=config.rel_gap, seed=config.seed)
 
 
-def _solve_and_frame(K, mesh, mu, config):
-    M = assemble_mass(mesh, mu)
-    spectral = solve_pencil(K, M, k=config.k_eigen, tol=config.eig_tol,
-                            rel_gap=config.rel_gap, seed=config.seed)
-    basis = spectral.cluster_basis(0)
+def _cluster_frame(mesh, mu, spectral):
     lam_cluster = float(np.mean(spectral.eigenvalues[list(spectral.clusters[0])]))
-    frame = with_eigenvalue(select_frame(basis, mesh, mu), lam_cluster)
-    return spectral, frame
+    return with_eigenvalue(select_frame(spectral.cluster_basis(0), mesh, mu), lam_cluster)
 
 
 def ascent_step(mesh, mu_k, config, K=None):
@@ -135,7 +128,8 @@ def ascent_step(mesh, mu_k, config, K=None):
     if K is None:
         K = assemble_stiffness(mesh)
     floor, cap = mu_k.floor, mu_k.cap
-    spectral, frame = _solve_and_frame(K, mesh, mu_k, config)
+    spectral = _solve(K, mesh, mu_k, config)
+    frame = _cluster_frame(mesh, mu_k, spectral)
     lam_k = spectral.lambda1
     nu = recover_density(mesh, frame)
 
@@ -149,7 +143,7 @@ def ascent_step(mesh, mu_k, config, K=None):
     for _ in range(7):  # initial step plus six halvings
         cand = project_density(mesh, (1.0 - t) * mu_k.values + t * nu.values,
                                floor, cap)
-        lam_c = _lambda1_at(K, mesh, cand.values, config)
+        lam_c = _solve(K, mesh, cand, config).lambda1
         if lam_c > best[0]:
             best = (lam_c, cand, t)
         if lam_c >= lam_k - tol_abs:
@@ -270,7 +264,8 @@ def maximize(mesh, mu0, config=AscentConfig()):
             status = "iteration-cap"
         sat_constant = max(sat_constant, saturated_measure(mesh, mu) * cap)
 
-    spectral, frame = _solve_and_frame(K, mesh, mu, config)
+    spectral = _solve(K, mesh, mu, config)
+    frame = _cluster_frame(mesh, mu, spectral)
     collapse = detect_collapse(mu, mesh, config.radius_fractions)
     if collapse["flag"]:
         status = "collapse"

@@ -43,6 +43,7 @@ class TriangleMesh:
     triangles : (F, 3) int array, consistently oriented
     edges : (E, 2) int array, i < j
     edge_lengths : (E,) float array
+    cotangents : (F, 3) float array, cotangent of the angle at each corner
     embedding : optional (V, 3) float array reproducing edge_lengths
     """
 
@@ -61,7 +62,6 @@ class TriangleMesh:
                 raise MeshError("embedding must be (V, 3)")
             self._check_embedding(emb)
             self.embedding = emb
-        self.orientable = True
         self._dist_cache = None
 
     # -- construction helpers -------------------------------------------------
@@ -105,7 +105,6 @@ class TriangleMesh:
             lens.append(float(l))
         self.edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         self.edge_lengths = np.array(lens, dtype=float)
-        self._edge_index = index
         # per-triangle edge lengths, entry c = length of edge opposite corner c
         F = len(self.triangles)
         tl = np.empty((F, 3))
@@ -162,6 +161,11 @@ class TriangleMesh:
 
     def _build_geometry(self):
         self.areas = triangle_areas(self.triangle_edge_lengths)
+        # cot at corner c = (b^2 + c^2 - a^2) / (4A), a the opposite edge
+        a2 = self.triangle_edge_lengths ** 2
+        num = np.stack([a2[:, 1] + a2[:, 2] - a2[:, 0], a2[:, 0] + a2[:, 2] - a2[:, 1],
+                        a2[:, 0] + a2[:, 1] - a2[:, 2]], axis=1)
+        self.cotangents = num / (4.0 * self.areas[:, None])
         va = np.zeros(self.vertex_count)
         np.add.at(va, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
         self.vertex_areas = va
@@ -176,9 +180,6 @@ class TriangleMesh:
                 f"embedding does not reproduce stored length on edge {tuple(self.edges[e])}")
 
     # -- queries ---------------------------------------------------------------
-
-    def edge_id(self, a, b):
-        return self._edge_index[(min(a, b), max(a, b))]
 
     def graph_distances(self):
         """All-pairs shortest path along edges, weighted by edge length. Cached."""

@@ -2,8 +2,10 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
-from confmax.cli import main
+from confmax.cli import _ascent_config, build_parser, main
+from confmax.maximizer import AscentConfig
 
 
 def test_spectrum_icosphere(tmp_path, capsys):
@@ -127,3 +129,15 @@ def test_config_file_syntax_error(tmp_path, capsys):
     cfgf.write_text("this is not a key value line\n")
     rc = main(["--config", str(cfgf), "spectrum", "--gen", "icosphere:2"])
     assert rc == 2
+
+
+def test_ascent_defaults_come_from_ascent_config():
+    assert _ascent_config(build_parser().parse_args(["maximize"]), {}) == AscentConfig()
+
+
+@pytest.mark.parametrize("argv", [["bench", "--dump-matrices"],
+                                  ["spectrum", "--gen", "icosphere:2", "--quick"]])
+def test_flag_not_read_by_subcommand_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

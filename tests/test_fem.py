@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from confmax.eigen import solve_pencil
 from confmax.fem import (DensityError, DensityField, _element_blocks_psd,
                          assemble_mass, assemble_stiffness, gradient_field,
                          random_density, uniform_density)
@@ -121,6 +122,18 @@ def test_gradient_hat_function_exact():
     # corner, 1/h^2 at the acute corners
     vals = sorted(set(np.round(tri[support] * h * h, 9)))
     assert vals == [1.0, 2.0]
+
+
+def test_gradient_block_is_column_sum(sphere2):
+    mu = uniform_density(sphere2)
+    res = solve_pencil(assemble_stiffness(sphere2), assemble_mass(sphere2, mu), k=8)
+    U = res.cluster_basis(0)
+    assert U.shape[1] == 3
+    block = gradient_field(sphere2, U)
+    singles = [gradient_field(sphere2, U[:, i]) for i in range(U.shape[1])]
+    for got, parts in zip(block, zip(*singles)):
+        want = np.sum(parts, axis=0)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_density_field_constraints(sphere2):
