@@ -29,8 +29,13 @@ def yang_yau_bound(genus):
     return 8.0 * np.pi * ((genus + 3) // 2)
 
 
-def certificate(mesh, mu, spectral, frame, radius_fractions=(0.05, 0.1, 0.2)):
-    """Full diagnostic record for one (mesh, density, frame) triple."""
+def certificate(mesh, mu, spectral, frame):
+    """Full diagnostic record for one (mesh, density, frame) triple.
+
+    ``collapse`` is the ``detect_collapse`` record; its ``diameter`` is the
+    double-sweep edge-path diameter of which the ``max_ball_mass`` radii
+    (0.05, 0.1, 0.2) are fractions.
+    """
     if mu.mesh is not mesh or frame.U.shape[0] != mesh.vertex_count:
         raise ValueError("inconsistent mesh references across inputs")
     lam_area = spectral.lambda1
@@ -73,7 +78,7 @@ def certificate(mesh, mu, spectral, frame, radius_fractions=(0.05, 0.1, 0.2)):
             "yang_yau_ok": bool(lam_area <= bound * (1.0 + _TOL_MESH)),
             "hersch_floor_ok": bool(lam_area >= 8.0 * np.pi * (1.0 - _TOL_MESH)),
         },
-        "collapse": detect_collapse(mu, mesh, radius_fractions),
+        "collapse": detect_collapse(mu, mesh),
     }
     return cert
 

@@ -44,10 +44,7 @@ _ASCENT_KEYS = {
     "k": ("k_eigen", int),
 }
 
-_LATTICES = {
-    "square": np.array([[1.0, 0.0], [0.0, 1.0]]),
-    "equilateral": np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]),
-}
+_LATTICES = {"square": bench_mod.SQUARE, "equilateral": bench_mod.EQUILATERAL}
 
 
 def _read_config_file(path):
@@ -77,17 +74,16 @@ def _build_mesh(gen, mesh_path):
     if gen and mesh_path:
         raise MeshError("give either --gen or --mesh, not both")
     if gen:
-        parts = gen.split(":")
-        if parts[0] == "icosphere":
-            return gen_icosphere(int(parts[1]))
-        if parts[0] == "flat-torus":
-            lattice = _LATTICES.get(parts[1])
+        kind, *fields = gen.split(":")
+        if kind == "icosphere" and len(fields) == 1:
+            return gen_icosphere(int(fields[0]))
+        if kind == "flat-torus" and len(fields) in (2, 3):
+            lattice = _LATTICES.get(fields[0])
             if lattice is None:
-                raise MeshError(f"unknown lattice {parts[1]!r}")
-            nx = int(parts[2])
-            ny = int(parts[3]) if len(parts) > 3 else nx
-            return gen_flat_torus(lattice, nx, ny)
-        raise MeshError(f"unknown generator {parts[0]!r}")
+                raise MeshError(f"unknown lattice {fields[0]!r}")
+            return gen_flat_torus(lattice, int(fields[1]), int(fields[-1]))
+        raise MeshError(f"bad generator {gen!r}: expected icosphere:LEVEL "
+                        "or flat-torus:LATTICE:NX[:NY]")
     if mesh_path:
         return load_mesh(mesh_path)
     raise MeshError("a mesh source is required (--gen or --mesh)")
@@ -98,8 +94,11 @@ def _density_init(spec, mesh):
         return spec
     # otherwise a file containing a JSON array or intrinsic-JSON with "density"
     data = json.loads(Path(spec).read_text())
-    vals = data["density"] if isinstance(data, dict) else data
-    return np.asarray(vals, dtype=float)
+    if isinstance(data, dict):
+        if "density" not in data:
+            raise DensityError(f"{spec}: JSON object has no \"density\" key")
+        data = data["density"]
+    return np.asarray(data, dtype=float)
 
 
 def _ascent_config(args, cfg):

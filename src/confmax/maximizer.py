@@ -11,11 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .eigen import DEFAULT_REL_GAP, solve_pencil
 from .fem import (DensityField, assemble_mass, assemble_stiffness,
                   random_density, uniform_density)
 from .frame import recover_density, select_frame, with_eigenvalue
+
+
+COLLAPSE_RADII = (0.05, 0.1, 0.2)  # ball radii as fractions of the diameter
+_SOURCE_BLOCK = 512  # Dijkstra sources per block in detect_collapse
 
 
 class ProjectionError(RuntimeError):
@@ -39,7 +45,6 @@ class AscentConfig:
     k_eigen: int = 8
     rel_gap: float = DEFAULT_REL_GAP
     eig_tol: float = 1e-10
-    radius_fractions: tuple = (0.05, 0.1, 0.2)
 
     def __post_init__(self):
         if not all(b > a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
@@ -175,34 +180,25 @@ def negative_measure(mesh, mu):
     return float(mesh.vertex_areas[mask].sum())
 
 
-def detect_collapse(mu, mesh, radius_fractions=(0.05, 0.1, 0.2)):
-    """Mass of the heaviest intrinsic ball at each radius fraction of diam(M)."""
+def detect_collapse(mu, mesh):
+    """Mass of the heaviest intrinsic ball at each of COLLAPSE_RADII * diam(M).
+
+    Distances are edge paths from Dijkstra truncated at the largest radius, a
+    block of sources at a time (exact up to the limit; no V x V matrix). diam(M)
+    is a double sweep: a lower bound on the all-pairs maximum.
+    """
+    v = mesh.vertex_count
+    g = csr_matrix((mesh.edge_lengths, mesh.edges.T), shape=(v, v))  # i < j; undirected search
+    far = int(np.argmax(dijkstra(g, directed=False, indices=0)))
+    diam = float(dijkstra(g, directed=False, indices=far).max())
     vmass = mu.values * mesh.vertex_areas
-    record = {float(r): 0.0 for r in radius_fractions}
-    if mesh.vertex_count <= 6000:
-        chunks = [mesh.graph_distances()]
-        diam = float(chunks[0].max())
-    else:
-        # avoid caching the full V x V matrix on refined meshes
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import dijkstra
-        i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-        g = coo_matrix(
-            (np.concatenate([mesh.edge_lengths] * 2),
-             (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(mesh.vertex_count, mesh.vertex_count)).tocsr()
-        step = 2000
-        chunks = (dijkstra(g, directed=False,
-                           indices=np.arange(s, min(s + step, mesh.vertex_count)))
-                  for s in range(0, mesh.vertex_count, step))
-        chunks = list(chunks)
-        diam = float(max(c.max() for c in chunks))
-    for c in chunks:
-        for r in radius_fractions:
-            ball = (c <= r * diam) @ vmass
-            record[float(r)] = max(record[float(r)], float(ball.max()))
-    flag = record.get(0.05, 0.0) > 0.5
-    return {"max_ball_mass": record, "flag": bool(flag)}
+    record = dict.fromkeys(COLLAPSE_RADII, 0.0)
+    for s in range(0, v, _SOURCE_BLOCK):
+        d = dijkstra(g, directed=False, indices=np.arange(s, min(s + _SOURCE_BLOCK, v)),
+                     limit=max(COLLAPSE_RADII) * diam)
+        for r in COLLAPSE_RADII:
+            record[r] = max(record[r], float(((d <= r * diam) @ vmass).max()))
+    return {"max_ball_mass": record, "flag": record[0.05] > 0.5, "diameter": diam}
 
 
 def make_initial_density(mesh, init, floor, cap, seed=0):
@@ -266,13 +262,12 @@ def maximize(mesh, mu0, config=AscentConfig()):
 
     spectral = _solve(K, mesh, mu, config)
     frame = _cluster_frame(mesh, mu, spectral)
-    collapse = detect_collapse(mu, mesh, config.radius_fractions)
+    collapse = detect_collapse(mu, mesh)
     if collapse["flag"]:
         status = "collapse"
     trace.status = status
     trace.saturation_constant = sat_constant
-    trace.certificate = certificate(mesh, mu, spectral, frame,
-                                    radius_fractions=config.radius_fractions)
+    trace.certificate = certificate(mesh, mu, spectral, frame)
     return mu, spectral, frame, trace
 
 

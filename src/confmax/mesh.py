@@ -62,7 +62,6 @@ class TriangleMesh:
                 raise MeshError("embedding must be (V, 3)")
             self._check_embedding(emb)
             self.embedding = emb
-        self._dist_cache = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -178,21 +177,6 @@ class TriangleMesh:
             e = int(np.argmax(rel))
             raise MeshError(
                 f"embedding does not reproduce stored length on edge {tuple(self.edges[e])}")
-
-    # -- queries ---------------------------------------------------------------
-
-    def graph_distances(self):
-        """All-pairs shortest path along edges, weighted by edge length. Cached."""
-        if self._dist_cache is None:
-            from scipy.sparse import coo_matrix
-            from scipy.sparse.csgraph import dijkstra
-            i, j = self.edges[:, 0], self.edges[:, 1]
-            g = coo_matrix(
-                (np.concatenate([self.edge_lengths, self.edge_lengths]),
-                 (np.concatenate([i, j]), np.concatenate([j, i]))),
-                shape=(self.vertex_count, self.vertex_count))
-            self._dist_cache = dijkstra(g.tocsr(), directed=False)
-        return self._dist_cache
 
 
 def mesh_stats(mesh):

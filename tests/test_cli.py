@@ -141,3 +141,16 @@ def test_flag_not_read_by_subcommand_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("case", ["icosphere", "flat-torus:square", "density-no-key"])
+def test_malformed_input_exits_with_input_error(tmp_path, capsys, case):
+    argv = ["spectrum", "--out", str(tmp_path / "o")]
+    if case == "density-no-key":
+        dens = tmp_path / "dens.json"
+        dens.write_text(json.dumps({"vertices": 162}))
+        argv += ["--gen", "icosphere:2", "--density", str(dens)]
+    else:
+        argv += ["--gen", case]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")

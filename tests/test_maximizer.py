@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from confmax.fem import DensityField, random_density, uniform_density
 from confmax.maximizer import (AscentConfig, ProjectionError, ascent_step,
@@ -103,8 +105,17 @@ def test_measures(sphere2):
     assert negative_measure(sphere2, mu) == 0.0
 
 
+def _all_pairs(mesh):
+    """Dense all-pairs edge-path distances: the reference for detect_collapse."""
+    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
+    g = coo_matrix((np.tile(mesh.edge_lengths, 2),
+                    (np.concatenate([i, j]), np.concatenate([j, i]))),
+                   shape=(mesh.vertex_count,) * 2).tocsr()
+    return dijkstra(g, directed=False)
+
+
 def test_detect_collapse_flags_concentration(sphere3):
-    d = sphere3.graph_distances()
+    d = _all_pairs(sphere3)
     near = d[0] <= 0.05 * d.max()
     vals = np.where(near, 1.0, 1e-9)
     vals /= sphere3.vertex_areas @ vals
@@ -117,6 +128,26 @@ def test_detect_collapse_flags_concentration(sphere3):
 def test_detect_collapse_uniform_clean(sphere3):
     out = detect_collapse(uniform_density(sphere3), sphere3)
     assert not out["flag"]
+
+
+@pytest.mark.parametrize("density", ["uniform", "random"])
+def test_detect_collapse_matches_all_pairs(sphere3, density):
+    # V = 642: two source blocks
+    mu = (uniform_density(sphere3) if density == "uniform"
+          else random_density(sphere3, 5))
+    d = _all_pairs(sphere3)
+    diam = d[np.argmax(d[0])].max()  # the same double sweep, on the dense rows
+    vmass = mu.values * sphere3.vertex_areas
+    ref = {r: ((d <= r * diam) @ vmass).max() for r in (0.05, 0.1, 0.2)}
+    out = detect_collapse(mu, sphere3)
+    assert out["diameter"] == diam
+    assert out["max_ball_mass"] == ref
+    assert out["flag"] == (ref[0.05] > 0.5)
+
+
+def test_double_sweep_diameter_exact_on_flat_torus(eq_torus16):
+    out = detect_collapse(uniform_density(eq_torus16), eq_torus16)
+    assert out["diameter"] == _all_pairs(eq_torus16).max()
 
 
 def test_make_initial_density_variants(sphere2):
