@@ -47,6 +47,9 @@ class AscentConfig:
     eig_tol: float = 1e-10
 
     def __post_init__(self):
+        if not self.n_schedule or self.n_schedule[0] < 1.0:
+            raise ValueError("n_schedule must be non-empty and start at >= 1 "
+                             "(a cap below the mean density cannot carry unit mass)")
         if not all(b > a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
             raise ValueError("n_schedule must be strictly increasing")
         if not 0.0 < self.damping <= 1.0:

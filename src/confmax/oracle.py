@@ -1,13 +1,56 @@
 """Brute-force cross-check for the torus maximizer.
 
-Deliberately independent of the main pipeline: its own dense assembly on a
-structured square-torus grid, a dense generalized eigensolver, and a plain
-projected-subgradient ascent with random restarts. Small grids only.
+Deliberately independent of the main pipeline: it shares no assembly code
+with `confmax.fem` or `confmax.mesh`. Its own dense assembly on a structured
+square-torus grid (the stiffness once per call, since it does not depend on
+the density; the density-weighted mass at every step), a dense generalized
+eigensolver, and a plain projected-subgradient ascent with random restarts.
+Small grids only.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import eigh
+
+
+class _Grid:
+    """The 2n^2 triangles of the n x n square torus grid, as arrays.
+
+    Each cell is split along the (+1, +1) diagonal; vertex (i, j) has index
+    i * n + j. Element matrices are summed in triangle order.
+    """
+
+    def __init__(self, n):
+        h = 1.0 / n
+        i, j = np.divmod(np.arange(n * n), n)
+        i1, j1 = (i + 1) % n, (j + 1) % n
+        v00, v10, v11, v01 = i * n + j, i1 * n + j, i1 * n + j1, i * n + j1
+        self.V = n * n
+        self.tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+        p = np.stack([i * h, j * h], axis=1)[self.tris]
+        # unwrap periodic images so each element is geometrically contiguous
+        off = p[:, 1:] - p[:, :1]
+        p[:, 1:] += np.where(off > 0.5, -1.0, np.where(off < -0.5, 1.0, 0.0))
+        e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge opposite each corner
+        area2 = np.abs(e[:, 2, 0] * -e[:, 1, 1] - e[:, 2, 1] * -e[:, 1, 0])
+        self.area = 0.5 * area2
+        self.grads = np.stack([-e[..., 1], e[..., 0]], axis=-1) / area2[:, None, None]
+        self._index = (self.tris[:, :, None] * self.V + self.tris[:, None, :]).ravel()
+
+    def _scatter(self, local):
+        V = self.V
+        return np.bincount(self._index, local.ravel(), minlength=V * V).reshape(V, V)
+
+    def stiffness(self):
+        return self._scatter(np.einsum("tpi,tqi->tpq",
+                                       self.area[:, None, None] * self.grads, self.grads))
+
+    def mass(self, mu):
+        m = mu[self.tris]
+        tot = m[:, 0] + m[:, 1] + m[:, 2]
+        # (A/60)(m_p + m_q + sum m) off the diagonal, twice that on it
+        local = m[:, :, None] + m[:, None, :] + tot[:, None, None]
+        return self._scatter(local * (self.area / 60.0)[:, None, None] * (1.0 + np.eye(3)))
 
 
 def square_torus_matrices(n, mu):
@@ -16,56 +59,8 @@ def square_torus_matrices(n, mu):
     n x n grid, each cell split along the (+1, +1) diagonal. Vertex (i, j)
     has index i * n + j.
     """
-    V = n * n
-    h = 1.0 / n
-    area = 0.5 * h * h
-
-    def vid(i, j):
-        return (i % n) * n + (j % n)
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-
-    K = np.zeros((V, V))
-    M = np.zeros((V, V))
-    mu = np.asarray(mu, dtype=float)
-    # element loop from coordinates (kept simple and dense on purpose)
-    coords = np.array([[(t // n) * h, (t % n) * h] for t in range(V)])
-    for (a, b, c) in tris:
-        # unwrap periodic images so the element is geometrically contiguous
-        pa = coords[a]
-        pb = _unwrap(coords[b], pa)
-        pc = _unwrap(coords[c], pa)
-        e0, e1, e2 = pc - pb, pa - pc, pb - pa
-        A2 = abs(e2[0] * (-e1[1]) - e2[1] * (-e1[0]))
-        A = 0.5 * A2
-        grads = np.array([[-e0[1], e0[0]], [-e1[1], e1[0]], [-e2[1], e2[0]]]) / A2
-        idx = (a, b, c)
-        for p in range(3):
-            for q in range(3):
-                K[idx[p], idx[q]] += A * grads[p] @ grads[q]
-        m = mu[list(idx)]
-        tot = m.sum()
-        for p in range(3):
-            M[idx[p], idx[p]] += (A / 60.0) * (4.0 * m[p] + 2.0 * tot)
-            for q in range(p + 1, 3):
-                v = (A / 60.0) * (m[p] + m[q] + tot)
-                M[idx[p], idx[q]] += v
-                M[idx[q], idx[p]] += v
-    return K, M
-
-
-def _unwrap(p, ref):
-    out = p.copy()
-    for d in range(2):
-        if out[d] - ref[d] > 0.5:
-            out[d] -= 1.0
-        elif out[d] - ref[d] < -0.5:
-            out[d] += 1.0
-    return out
+    grid = _Grid(n)
+    return grid.stiffness(), grid.mass(np.asarray(mu, dtype=float))
 
 
 def _vertex_areas(n):
@@ -80,6 +75,8 @@ def _project(values, areas, cap):
     hi = cap + 1.0
     for _ in range(200):
         c = 0.5 * (lo + hi)
+        if c == lo or c == hi:  # interval at one ulp: later passes change nothing
+            break
         m = areas @ np.clip(values + c, 0.0, cap)
         if m < 1.0:
             lo = c
@@ -88,36 +85,29 @@ def _project(values, areas, cap):
     return np.clip(values + 0.5 * (lo + hi), 0.0, cap)
 
 
-def _lambda_and_grad(n, mu, cluster_gap=0.02):
-    K, M = square_torus_matrices(n, mu)
+def _lambda_and_grad(K, M, areas, cluster_gap=0.02):
     vals, vecs = eigh(K, M + 1e-13 * np.eye(len(M)))
     lam = vals[1]  # vals[0] is the constant mode
-    areas = _vertex_areas(n)
     # subgradient averaged over the first cluster to tame multiplicity
-    grad = np.zeros(len(mu))
-    count = 0
-    for i in range(1, len(vals)):
-        if vals[i] > lam * (1.0 + cluster_gap):
-            break
-        u = vecs[:, i]
-        grad += -lam * areas * u * u
-        count += 1
-    return lam, grad / count
+    count = np.searchsorted(vals[1:], lam * (1.0 + cluster_gap), side="right")
+    return lam, -lam * areas * np.mean(vecs[:, 1:1 + count] ** 2, axis=1)
 
 
 def brute_force_torus_max(n=12, cap_rel=64.0, restarts=20, iters=300, seed=0):
     """Best lambda1 * area over the box-and-mass set, by restarted ascent."""
     rng = np.random.default_rng(seed)
+    grid = _Grid(n)
+    K = grid.stiffness()
     areas = _vertex_areas(n)
     cap = cap_rel  # unit-area torus: mean density is 1
     best = -np.inf
     for _ in range(restarts):
         mu = _project(rng.uniform(0.5, 1.5, n * n), areas, cap)
-        lam, grad = _lambda_and_grad(n, mu)
+        lam, grad = _lambda_and_grad(K, grid.mass(mu), areas)
         alpha = 0.1 / max(np.abs(grad).max(), 1e-12)
         for _ in range(iters):
             cand = _project(mu + alpha * grad, areas, cap)
-            lam_c, grad_c = _lambda_and_grad(n, cand)
+            lam_c, grad_c = _lambda_and_grad(K, grid.mass(cand), areas)
             if lam_c > lam:
                 mu, lam, grad = cand, lam_c, grad_c
                 alpha *= 1.3

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from confmax.bench import BenchResult
 from confmax.cli import _ascent_config, build_parser, main
+from confmax.eigen import EigenError
 from confmax.maximizer import AscentConfig
 
 
@@ -154,3 +156,25 @@ def test_malformed_input_exits_with_input_error(tmp_path, capsys, case):
         argv += ["--gen", case]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_infeasible_schedule_exits_with_input_error(tmp_path, capsys):
+    rc = main(["maximize", "--gen", "icosphere:1", "--n-schedule", "0.5",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise EigenError("no convergence")
+    monkeypatch.setattr("confmax.cli.solve_pencil", fail)
+    rc = main(["spectrum", "--gen", "icosphere:1", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_failed_acceptance_check_exits_1(tmp_path, monkeypatch):
+    failing = BenchResult("stub criterion", False, 0.0, "target", "detail")
+    monkeypatch.setattr("confmax.bench.run_all", lambda **kwargs: [failing])
+    assert main(["bench", "--out", str(tmp_path / "o")]) == 1

@@ -19,6 +19,10 @@ def test_config_validation():
         AscentConfig(damping=0.0)
     with pytest.raises(ValueError):
         AscentConfig(floor=-1.0)
+    with pytest.raises(ValueError):
+        AscentConfig(n_schedule=())
+    with pytest.raises(ValueError):
+        AscentConfig(n_schedule=(0.5,))  # a cap of N/A < 1/A cannot carry unit mass
 
 
 def test_projection_box_and_mass(sphere3):
