@@ -29,8 +29,10 @@ def yang_yau_bound(genus):
     return 8.0 * np.pi * ((genus + 3) // 2)
 
 
-def certificate(mesh, mu, spectral, frame):
+def certificate(mesh, mu, spectral, frame, K):
     """Full diagnostic record for one (mesh, density, frame) triple.
+
+    K is the mesh's StiffnessMatrix, for the harmonic-map residual.
 
     ``collapse`` is the ``detect_collapse`` record; its ``diameter`` is the
     double-sweep edge-path diameter of which the ``max_ball_mass`` radii
@@ -50,7 +52,7 @@ def certificate(mesh, mu, spectral, frame):
     nu = recover_density(mesh, frame)
     recovery_l1 = float(mesh.vertex_areas @ np.abs(nu.values - mu.values))
 
-    harmonic = harmonic_residual(mesh, frame)
+    harmonic = harmonic_residual(mesh, frame, K)
 
     grad_sum = gradient_field(mesh, frame.U)[1]
     mean_grad = float(mesh.vertex_areas @ grad_sum / mesh.area)

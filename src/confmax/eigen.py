@@ -1,7 +1,8 @@
 """Generalized symmetric pencil K u = lambda M u: smallest nonzero eigenpairs.
 
 Shift-invert Lanczos (ARPACK) with the constant mode removed by explicit
-projection against the M-weighted constant, never by pinning a vertex.
+projection against the M-weighted constant, never by pinning a vertex. One
+sparse LU of K - sigma M per solve serves both Lanczos passes and the retries.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .fem import MassMatrix, StiffnessMatrix
 
@@ -111,11 +112,17 @@ def solve_pencil(K, M, k, tol=1e-10, rel_gap=DEFAULT_REL_GAP, seed=0):
     scale = Ksub.diagonal().sum() / Msub.diagonal().sum()
     sigma = -1e-2 * scale
     rng = np.random.default_rng(seed)
+    try:
+        # the CSC matrix eigsh factors itself (symmetric CSR, transposed)
+        lu = splu((Ksub - sigma * Msub).tocsr().T)
+    except Exception as exc:  # singular factor
+        raise EigenError(f"pencil solve failed: {exc}") from exc
+    OPinv = LinearOperator((n, n), matvec=lu.solve)
 
     # Two Lanczos passes with independent start vectors, merged by
     # Rayleigh-Ritz: single-vector Lanczos can return an incomplete basis of
     # a degenerate eigenvalue, and the mesh symmetries here produce exact
-    # multiplicities routinely.
+    # multiplicities routinely. Both passes and every retry share the LU.
     want = k + 1  # room for the zero mode
     lam = vec = None
     for attempt in range(3):
@@ -124,8 +131,9 @@ def solve_pencil(K, M, k, tol=1e-10, rel_gap=DEFAULT_REL_GAP, seed=0):
             v0 = rng.standard_normal(n)
             try:
                 _, bvec = eigsh(Ksub, k=min(want, n - 1), M=Msub, sigma=sigma,
-                                which="LM", v0=v0, tol=tol, maxiter=10000)
-            except Exception as exc:  # ARPACK non-convergence / factorization
+                                which="LM", v0=v0, tol=tol, maxiter=10000,
+                                OPinv=OPinv)
+            except Exception as exc:  # ARPACK non-convergence
                 raise EigenError(f"pencil solve failed: {exc}") from exc
             blocks.append(bvec)
         U = np.hstack(blocks)

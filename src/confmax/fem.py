@@ -79,7 +79,6 @@ class StiffnessMatrix:
 @dataclass(frozen=True)
 class MassMatrix:
     matrix: sparse.csr_matrix
-    mode: str
     psd_blocks: bool   # every element block is PSD, hence so is the matrix
 
     @property
@@ -128,49 +127,37 @@ def _element_blocks_psd(m):
     return all(bool(np.all(x >= -1e-12)) for x in minors)
 
 
-def assemble_mass(mesh, density, mode="consistent"):
+def assemble_mass(mesh, density):
     """Mass matrix for the P1 density (DensityField or raw per-vertex array).
 
-    Consistent mode integrates hat x hat x (P1 density) exactly per triangle;
-    lumped mode is its row-sum diagonal. A signed density gets an O(F)
-    semidefiniteness test (per element block; per diagonal entry when lumped)
-    recorded in psd_blocks.
+    Integrates hat x hat x (P1 density) exactly per triangle. A signed
+    density gets an O(F) semidefiniteness test per element block, recorded
+    in psd_blocks.
     """
     mu = density.values if isinstance(density, DensityField) else np.asarray(density, float)
     tri = mesh.triangles
     A = mesh.areas
     m = mu[tri]  # (F, 3) corner densities
     V = mesh.vertex_count
-    if mode == "lumped":
-        # row sum of consistent element: (A/12) * (2 mu_a + mu_b + mu_c)
-        diag = np.zeros(V)
-        tot = m.sum(axis=1)
-        for a in range(3):
-            np.add.at(diag, tri[:, a], (A / 12.0) * (m[:, a] + tot))
-        M = sparse.diags(diag).tocsr()
-        psd = bool(diag.min() >= 0.0)
-    elif mode == "consistent":
-        rows, cols, vals = [], [], []
-        tot = m.sum(axis=1)
-        for a in range(3):
-            # int phi_a phi_a (sum mu_c phi_c) = (A/60)(6 mu_a + 2 mu_b + 2 mu_c)
-            rows.append(tri[:, a])
-            cols.append(tri[:, a])
-            vals.append((A / 60.0) * (4.0 * m[:, a] + 2.0 * tot))
-            for b in range(a + 1, 3):
-                # int phi_a phi_b (sum mu_c phi_c) = (A/60)(2 mu_a + 2 mu_b + mu_c)
-                v = (A / 60.0) * (m[:, a] + m[:, b] + tot)
-                rows += [tri[:, a], tri[:, b]]
-                cols += [tri[:, b], tri[:, a]]
-                vals += [v, v]
-        M = sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(V, V)).tocsr()
-        M.sum_duplicates()
-        psd = bool(mu.min() >= 0.0) or _element_blocks_psd(m)
-    else:
-        raise ValueError(f"unknown mass mode {mode!r}")
-    return MassMatrix(M, mode, psd)
+    rows, cols, vals = [], [], []
+    tot = m.sum(axis=1)
+    for a in range(3):
+        # int phi_a phi_a (sum mu_c phi_c) = (A/60)(6 mu_a + 2 mu_b + 2 mu_c)
+        rows.append(tri[:, a])
+        cols.append(tri[:, a])
+        vals.append((A / 60.0) * (4.0 * m[:, a] + 2.0 * tot))
+        for b in range(a + 1, 3):
+            # int phi_a phi_b (sum mu_c phi_c) = (A/60)(2 mu_a + 2 mu_b + mu_c)
+            v = (A / 60.0) * (m[:, a] + m[:, b] + tot)
+            rows += [tri[:, a], tri[:, b]]
+            cols += [tri[:, b], tri[:, a]]
+            vals += [v, v]
+    M = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(V, V)).tocsr()
+    M.sum_duplicates()
+    psd = bool(mu.min() >= 0.0) or _element_blocks_psd(m)
+    return MassMatrix(M, psd)
 
 
 def gradient_field(mesh, U):

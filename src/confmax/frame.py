@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import DensityField, assemble_mass, assemble_stiffness, gradient_field
+from .fem import DensityField, assemble_mass, gradient_field
 
 # Dunavant 6-point rule, exact for quartics on the reference triangle.
 _QP = np.array([
@@ -155,8 +155,10 @@ def with_eigenvalue(frame, lam):
     return dataclasses.replace(frame, lam=float(lam))
 
 
-def harmonic_residual(mesh, frame, w_floor=1e-6):
+def harmonic_residual(mesh, frame, K, w_floor=1e-6):
     """Discrete tension-field test of the normalized map phi / sqrt(w).
+
+    K is the mesh's StiffnessMatrix.
 
     weak_residual aggregates all components in the Frobenius norm (this makes
     the figure invariant under global rotations of the frame, which the
@@ -171,7 +173,7 @@ def harmonic_residual(mesh, frame, w_floor=1e-6):
     phi = np.zeros_like(frame.U)
     phi[good] = frame.U[good] / np.sqrt(w[good])[:, None]
 
-    K = assemble_stiffness(mesh).matrix
+    K = K.matrix
     rho = gradient_field(mesh, phi)[1]
     Mplain = assemble_mass(mesh, np.ones(mesh.vertex_count)).matrix
 

@@ -270,7 +270,7 @@ def maximize(mesh, mu0, config=AscentConfig()):
         status = "collapse"
     trace.status = status
     trace.saturation_constant = sat_constant
-    trace.certificate = certificate(mesh, mu, spectral, frame)
+    trace.certificate = certificate(mesh, mu, spectral, frame, K)
     return mu, spectral, frame, trace
 
 

@@ -34,7 +34,7 @@ def test_yang_yau_values():
 
 def test_certificate_round_sphere(sphere4):
     mu, spectral, frame = _sphere_inputs(sphere4)
-    cert = certificate(sphere4, mu, spectral, frame)
+    cert = certificate(sphere4, mu, spectral, frame, assemble_stiffness(sphere4))
     assert cert["schema"] == "confspec-cert-1"
     assert abs(cert["lambda1_area"] - 8 * math.pi) / (8 * math.pi) < 1e-2
     assert cert["sphere_residual"] < 5e-2
@@ -57,7 +57,7 @@ def test_certificate_flat_equilateral_torus():
     spectral = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh, mu), k=8)
     lam = float(np.mean(spectral.eigenvalues[list(spectral.clusters[0])]))
     frame = with_eigenvalue(select_frame(spectral.cluster_basis(0), mesh, mu), lam)
-    cert = certificate(mesh, mu, spectral, frame)
+    cert = certificate(mesh, mu, spectral, frame, assemble_stiffness(mesh))
     assert cert["bounds"]["genus"] == 1
     assert cert["bounds"]["bound_value"] == pytest.approx(16 * math.pi)
     assert cert["bounds"]["yang_yau_ok"]
@@ -68,12 +68,12 @@ def test_certificate_flat_equilateral_torus():
 def test_certificate_rejects_mismatched_mesh(sphere3, sphere2):
     mu, spectral, frame = _sphere_inputs(sphere3)
     with pytest.raises(ValueError):
-        certificate(sphere2, mu, spectral, frame)
+        certificate(sphere2, mu, spectral, frame, assemble_stiffness(sphere2))
 
 
 def test_save_certificate_roundtrip(sphere3, tmp_path):
     mu, spectral, frame = _sphere_inputs(sphere3)
-    cert = certificate(sphere3, mu, spectral, frame)
+    cert = certificate(sphere3, mu, spectral, frame, assemble_stiffness(sphere3))
     p = tmp_path / "cert.json"
     save_certificate(cert, p)
     loaded = json.loads(p.read_text())

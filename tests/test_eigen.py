@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import confmax.eigen
-from confmax.eigen import (IndefiniteMassError, cluster_eigenvalues, solve_pencil,
-                           spectrum_rows)
-from confmax.fem import assemble_mass, assemble_stiffness, uniform_density
+from confmax.eigen import (EigenError, IndefiniteMassError, cluster_eigenvalues,
+                           solve_pencil, spectrum_rows)
+from confmax.fem import assemble_mass, assemble_stiffness, random_density, uniform_density
 from confmax.mesh import gen_flat_torus
 from conftest import SQUARE
 
@@ -88,6 +88,46 @@ def test_determinism(sphere2):
     res2, _, _ = _solve_uniform(sphere2, 5, seed=3)
     assert np.array_equal(res1.eigenvalues, res2.eigenvalues)
     assert np.array_equal(res1.eigenvectors, res2.eigenvectors)
+
+
+def test_one_factorization_serves_both_passes(sphere2, monkeypatch):
+    calls = {"splu": 0, "eigsh": []}
+    splu, eigsh = confmax.eigen.splu, confmax.eigen.eigsh
+
+    def counting_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counting_eigsh(*args, **kwargs):
+        calls["eigsh"].append("OPinv" in kwargs)
+        return eigsh(*args, **kwargs)
+    monkeypatch.setattr(confmax.eigen, "splu", counting_splu)
+    monkeypatch.setattr(confmax.eigen, "eigsh", counting_eigsh)
+    _solve_uniform(sphere2, 8)
+    assert calls == {"splu": 1, "eigsh": [True, True]}
+
+
+@pytest.mark.parametrize("density", ["uniform", "random"])
+def test_shared_factorization_matches_self_factoring_eigsh(sphere2, monkeypatch, density):
+    mu = uniform_density(sphere2) if density == "uniform" else random_density(sphere2, 1)
+    K, M = assemble_stiffness(sphere2), assemble_mass(sphere2, mu)
+    shared = solve_pencil(K, M, k=8)
+    eigsh = confmax.eigen.eigsh
+
+    def self_factoring(*args, OPinv, **kwargs):
+        return eigsh(*args, **kwargs)  # scipy factors K - sigma M itself
+    monkeypatch.setattr(confmax.eigen, "eigsh", self_factoring)
+    own = solve_pencil(K, M, k=8)
+    assert np.array_equal(shared.eigenvalues, own.eigenvalues)
+    assert np.array_equal(shared.eigenvectors, own.eigenvectors)
+
+
+def test_factorization_failure_is_eigen_error(sphere2, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(confmax.eigen, "splu", singular)
+    with pytest.raises(EigenError, match="pencil solve failed: Factor is exactly singular"):
+        _solve_uniform(sphere2, 2)
 
 
 def test_indefinite_mass_refused(sphere2):

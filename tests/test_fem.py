@@ -57,12 +57,6 @@ def test_consistent_mass_uniform_element():
     assert M[0, 0] == pytest.approx(3 * A / 6, rel=1e-12)
 
 
-def test_lumped_mass_trace(sphere2):
-    M = assemble_mass(sphere2, np.ones(sphere2.vertex_count), mode="lumped").matrix
-    assert M.diagonal().sum() == pytest.approx(sphere2.area, rel=1e-12)
-    assert np.allclose(M.diagonal(), sphere2.vertex_areas)
-
-
 def test_mass_zero_density_zero_element():
     m = regular_tetrahedron()
     mu = np.array([0.0, 0.0, 0.0, 1.0])  # face (0,1,2) has zero density

@@ -171,7 +171,7 @@ def test_identity_map_is_harmonic():
     for s in (4, 5):
         mesh = gen_icosphere(s)
         frame = _identity_frame(mesh)
-        r = harmonic_residual(mesh, frame)
+        r = harmonic_residual(mesh, frame, assemble_stiffness(mesh))
         residuals.append(r["weak_residual"])
     assert residuals[0] < 5e-2
     assert residuals[1] < residuals[0]
@@ -186,7 +186,7 @@ def test_twisted_map_not_harmonic(sphere4):
                   X[:, 2]], axis=1)
     frame = SphereFrame(3, U, np.eye(3), np.einsum("vi,vi->v", U, U),
                         2.0 * sphere4.area, 0.0, True)
-    r = harmonic_residual(sphere4, frame)
+    r = harmonic_residual(sphere4, frame, assemble_stiffness(sphere4))
     assert r["weak_residual"] > 0.3
 
 
@@ -194,12 +194,12 @@ def test_harmonic_residual_rotation_invariant(sphere3):
     res, mu = _first_cluster(sphere3)
     frame = with_eigenvalue(select_frame(res.cluster_basis(0), sphere3, mu),
                             res.lambda1)
-    r1 = harmonic_residual(sphere3, frame)["weak_residual"]
+    r1 = harmonic_residual(sphere3, frame, assemble_stiffness(sphere3))["weak_residual"]
     rng = np.random.default_rng(11)
     R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     rotated = SphereFrame(frame.ell, frame.U @ R, frame.Q, frame.w, frame.lam,
                           frame.objective, frame.attained)
-    r2 = harmonic_residual(sphere3, rotated)["weak_residual"]
+    r2 = harmonic_residual(sphere3, rotated, assemble_stiffness(sphere3))["weak_residual"]
     assert abs(r1 - r2) < 1e-10
 
 
@@ -208,7 +208,7 @@ def test_degenerate_map_rejected(sphere2):
     U[0, 0] = 1.0
     frame = SphereFrame(1, U, np.eye(1), U[:, 0] ** 2, 1.0, 1.0, False)
     with pytest.raises(FrameError, match="degenerate"):
-        harmonic_residual(sphere2, frame)
+        harmonic_residual(sphere2, frame, assemble_stiffness(sphere2))
 
 
 def test_recover_density_sphere(sphere4):
