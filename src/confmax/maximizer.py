@@ -7,7 +7,7 @@ decrease the normalized eigenvalue (beyond the tolerance).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -275,8 +275,5 @@ def maximize(mesh, mu0, config=AscentConfig()):
 
 
 def trace_csv_rows(trace):
-    header = ["iter", "N", "lambda1_area", "EN_measure", "ENeg_measure",
-              "step", "frame_obj", "wall_ms"]
-    rows = [[r.iter, r.N, r.lambda1_area, r.EN_measure, r.ENeg_measure,
-             r.step, r.frame_obj, r.wall_ms] for r in trace.rows]
-    return header, rows
+    header = [f.name for f in fields(TraceRow)]
+    return header, [[getattr(r, name) for name in header] for r in trace.rows]

@@ -10,6 +10,8 @@ import math
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 class MeshError(ValueError):
@@ -34,6 +36,21 @@ def triangle_areas(tri_lengths):
     return _kahan_heron(s[:, 2], s[:, 1], s[:, 0])
 
 
+def _as_triangles(triangles, vertex_count):
+    """Check an (F, 3) vertex index array against `vertex_count` and return it as int64."""
+    triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+    if triangles.ndim != 2 or triangles.shape[1] != 3:
+        raise MeshError("triangles must be an (F, 3) index array")
+    if np.any(triangles < 0) or np.any(triangles >= vertex_count):
+        raise MeshError("triangle vertex index out of range")
+    return triangles
+
+
+def _corner_pairs(triangles):
+    """The 3F directed edges (i,j), (j,k), (k,i) of each triangle, as (tail, head)."""
+    return triangles.ravel(), np.roll(triangles, -1, axis=1).ravel()
+
+
 class TriangleMesh:
     """Immutable closed oriented 2-manifold triangulation with intrinsic metric.
 
@@ -41,7 +58,9 @@ class TriangleMesh:
     ----------
     vertex_count : int
     triangles : (F, 3) int array, consistently oriented
-    edges : (E, 2) int array, i < j
+    edges : (E, 2) int array, i < j, in lexicographic order
+    triangle_edges : (F, 3) int array, entry c the id in `edges` of the edge
+        opposite corner c
     edge_lengths : (E,) float array
     cotangents : (F, 3) float array, cotangent of the angle at each corner
     embedding : optional (V, 3) float array reproducing edge_lengths
@@ -49,9 +68,7 @@ class TriangleMesh:
 
     def __init__(self, vertex_count, triangles, edge_lengths, embedding=None):
         self.vertex_count = int(vertex_count)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise MeshError("triangles must be an (F, 3) index array")
+        self.triangles = _as_triangles(triangles, self.vertex_count)
         self._build_edges(edge_lengths)
         self._build_geometry()  # raises on triangle-inequality violations
         self._validate_manifold()
@@ -69,90 +86,90 @@ class TriangleMesh:
     def from_embedding(cls, vertices, triangles):
         """Build from 3D positions; edge lengths derived from the embedding."""
         vertices = np.asarray(vertices, dtype=float)
-        triangles = np.asarray(triangles, dtype=np.int64)
-        lengths = {}
-        for t, (i, j, k) in enumerate(triangles):
-            for a, b in ((i, j), (j, k), (k, i)):
-                key = (min(a, b), max(a, b))
-                if key not in lengths:
-                    lengths[key] = float(np.linalg.norm(vertices[a] - vertices[b]))
-        return cls(len(vertices), triangles, lengths, embedding=vertices)
+        triangles = _as_triangles(triangles, len(vertices))
+        tail, head = _corner_pairs(triangles)
+        lengths = np.linalg.norm(vertices[tail] - vertices[head], axis=1)
+        return cls(len(vertices), triangles, np.column_stack([tail, head, lengths]),
+                   embedding=vertices)
 
     def _build_edges(self, edge_lengths):
-        tris = self.triangles
-        if np.any(tris < 0) or np.any(tris >= self.vertex_count):
-            raise MeshError("triangle vertex index out of range")
-        for t in range(len(tris)):
-            if len(set(tris[t])) != 3:
-                raise MeshError(f"degenerate triangle {t}: repeated vertex")
+        tris, V = self.triangles, self.vertex_count
+        repeated = np.any(tris == np.roll(tris, 1, axis=1), axis=1)
+        if np.any(repeated):
+            raise MeshError(f"degenerate triangle {int(np.argmax(repeated))}: repeated vertex")
+        # the edge table: entry c of a triangle is the edge opposite corner c
+        opposite = np.sort(tris[:, [[1, 2], [0, 2], [0, 1]]], axis=2).reshape(-1, 2)
+        edge_key, inverse = np.unique(opposite[:, 0] * V + opposite[:, 1], return_inverse=True)
+        self.edges = np.stack(np.divmod(edge_key, V), axis=1)
+        self.triangle_edges = inverse.reshape(-1, 3)
+
         if isinstance(edge_lengths, dict):
-            items = [(min(i, j), max(i, j), l) for (i, j), l in edge_lengths.items()]
-        else:
-            items = [(min(int(i), int(j)), max(int(i), int(j)), float(l))
-                     for i, j, l in edge_lengths]
-        index = {}
-        pairs, lens = [], []
-        for i, j, l in sorted(items):
-            if (i, j) in index:
-                if not math.isclose(lens[index[(i, j)]], l, rel_tol=1e-12):
-                    raise MeshError(f"conflicting lengths for edge ({i},{j})")
-                continue
-            if l <= 0:
+            edge_lengths = np.column_stack([np.reshape(list(edge_lengths), (-1, 2)),
+                                            list(edge_lengths.values())])
+        rows = np.asarray(edge_lengths, dtype=float).reshape(-1, 3)
+        lo, hi = np.sort(rows[:, :2].astype(np.int64), axis=1).T
+        key = lo * V + hi
+        stray = (lo < 0) | (hi >= V) | ~np.isin(key, edge_key)
+        if np.any(stray):
+            g = int(np.argmax(stray))
+            raise MeshError(f"length given for ({lo[g]},{hi[g]}), not an edge of any triangle")
+        # sorted by (edge, length): each edge keeps its first length, and any
+        # other length given for it must agree with that one
+        order = np.lexsort((rows[:, 2], key))
+        key, given = key[order], rows[order, 2]
+        first = np.diff(key, prepend=-1) != 0
+        kept = given[first][np.cumsum(first) - 1]
+        close = np.abs(given - kept) <= 1e-12 * np.maximum(np.abs(given), np.abs(kept))
+        bad = np.where(first, given <= 0, ~close)
+        if np.any(bad):
+            g = int(np.argmax(bad))
+            i, j = divmod(key[g], V)
+            if first[g]:
                 raise MeshError(f"non-positive length on edge ({i},{j})")
-            index[(i, j)] = len(pairs)
-            pairs.append((i, j))
-            lens.append(float(l))
-        self.edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        self.edge_lengths = np.array(lens, dtype=float)
-        # per-triangle edge lengths, entry c = length of edge opposite corner c
-        F = len(self.triangles)
-        tl = np.empty((F, 3))
-        for t, (i, j, k) in enumerate(self.triangles):
-            for c, (a, b) in enumerate(((j, k), (i, k), (i, j))):
-                key = (min(a, b), max(a, b))
-                if key not in index:
-                    raise MeshError(f"missing edge length for edge ({a},{b}) of triangle {t}")
-                tl[t, c] = self.edge_lengths[index[key]]
-        self.triangle_edge_lengths = tl
+            raise MeshError(f"conflicting lengths for edge ({i},{j})")
+        missing = ~np.isin(edge_key, key)[self.triangle_edges]
+        if np.any(missing):
+            t, c = divmod(int(np.argmax(missing)), 3)
+            a, b = np.delete(tris[t], c)
+            raise MeshError(f"missing edge length for edge ({a},{b}) of triangle {t}")
+        self.edge_lengths = given[first]
+        self.triangle_edge_lengths = self.edge_lengths[self.triangle_edges]
 
     def _validate_manifold(self):
-        directed = {}
-        undirected = {}
-        for t, (i, j, k) in enumerate(self.triangles):
-            for a, b in ((i, j), (j, k), (k, i)):
-                if (a, b) in directed:
-                    raise MeshError(
-                        f"orientation conflict on edge ({a},{b}) between triangles "
-                        f"{directed[(a, b)]} and {t}")
-                directed[(a, b)] = t
-                undirected.setdefault((min(a, b), max(a, b)), []).append(t)
-        for (a, b), ts in undirected.items():
-            if len(ts) == 1:
-                raise MeshError(f"open boundary at edge ({a},{b}) (triangle {ts[0]})")
-            if len(ts) > 2:
-                raise MeshError(f"non-manifold edge ({a},{b}) shared by triangles {ts}")
-        # vertex links must be single cycles
-        link = [dict() for _ in range(self.vertex_count)]
-        for i, j, k in self.triangles:
-            link[i][j] = k
-            link[j][k] = i
-            link[k][i] = j
-        for v, nxt in enumerate(link):
-            if not nxt:
+        tris, V = self.triangles, self.vertex_count
+        tail, head = _corner_pairs(tris)
+        directed, first, seen = np.unique(tail * V + head, return_index=True,
+                                          return_inverse=True)
+        repeat = first[seen] != np.arange(len(tail))
+        if np.any(repeat):
+            h = int(np.argmax(repeat))
+            raise MeshError(
+                f"orientation conflict on edge ({tail[h]},{head[h]}) between triangles "
+                f"{first[seen[h]] // 3} and {h // 3}")
+        # a third triangle at an edge would repeat one of its directed pairs, so
+        # past the orientation check an edge lies in two triangles, or in one
+        pair_edge = self.triangle_edges[:, [2, 0, 1]].ravel()  # edge of each corner pair
+        open_pair = (np.bincount(pair_edge) == 1)[pair_edge]
+        if np.any(open_pair):
+            h = int(np.argmax(open_pair))
+            a, b = self.edges[pair_edge[h]]
+            raise MeshError(f"open boundary at edge ({a},{b}) (triangle {h // 3})")
+        # vertex links must be single cycles. Corner h (at tail[h]) is joined to
+        # the corner at the same vertex in the triangle across pair h, so each
+        # link cycle is one connected component of the corners.
+        twin = first[np.searchsorted(directed, head * V + tail)]
+        across = twin - twin % 3 + (twin + 1) % 3
+        n = len(tail)
+        count, label = connected_components(
+            coo_matrix((np.ones(n), (np.arange(n), across)), shape=(n, n)))
+        link_vertex = np.empty(count, dtype=np.int64)
+        link_vertex[label] = tail
+        cycles = np.bincount(link_vertex, minlength=V)
+        if np.any(cycles != 1):
+            v = int(np.argmax(cycles != 1))
+            if cycles[v] == 0:
                 raise MeshError(f"isolated vertex {v}")
-            start = next(iter(nxt))
-            cur, seen = start, 0
-            while True:
-                cur = nxt.get(cur)
-                seen += 1
-                if cur is None:
-                    raise MeshError(f"broken link cycle at vertex {v}")
-                if cur == start:
-                    break
-                if seen > len(nxt):
-                    raise MeshError(f"vertex {v} link is not a single cycle")
-            if seen != len(nxt):
-                raise MeshError(f"vertex {v} link is not a single cycle")
+            raise MeshError(f"vertex {v} link is not a single cycle")
         chi = self.vertex_count - len(self.edges) + len(self.triangles)
         if chi % 2 != 0 or chi > 2:
             raise MeshError(f"Euler characteristic {chi} is not 2-2g for integer g >= 0")
@@ -215,25 +232,21 @@ def gen_icosphere(subdivisions):
     """Unit-sphere mesh: icosahedron with `subdivisions` rounds of 1->4 splits."""
     if not 0 <= subdivisions <= 8:
         raise ValueError("subdivisions must be in [0, 8]")
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
+    verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
     faces = _ICO_FACES.copy()
     for _ in range(subdivisions):
-        midpoint = {}
-
-        def mid(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in midpoint:
-                m = verts[a] + verts[b]
-                verts.append(m / np.linalg.norm(m))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for i, j, k in faces:
-            ij, jk, ki = mid(i, j), mid(j, k), mid(k, i)
-            new_faces += [[i, ij, ki], [j, jk, ij], [k, ki, jk], [ij, jk, ki]]
-        faces = np.array(new_faces, dtype=np.int64)
-    return TriangleMesh.from_embedding(np.array(verts), faces)
+        # one midpoint per edge, numbered by first appearance among the corner pairs
+        tail, head = _corner_pairs(faces)
+        V = len(verts)
+        _, first, edge = np.unique(np.minimum(tail, head) * V + np.maximum(tail, head),
+                                   return_index=True, return_inverse=True)
+        new = np.sort(first)
+        rank = np.searchsorted(new, first)
+        m = verts[tail[new]] + verts[head[new]]
+        verts = np.vstack([verts, m / np.linalg.norm(m, axis=1, keepdims=True)])
+        (i, j, k), (ij, jk, ki) = faces.T, (V + rank[edge]).reshape(-1, 3).T
+        faces = np.stack([i, ij, ki, j, jk, ij, k, ki, jk, ij, jk, ki], axis=1).reshape(-1, 3)
+    return TriangleMesh.from_embedding(verts, faces)
 
 
 def gen_flat_torus(basis, nx, ny):
@@ -253,29 +266,14 @@ def gen_flat_torus(basis, nx, ny):
     lx = float(np.linalg.norm(ex))
     ly = float(np.linalg.norm(ey))
     ld = float(np.linalg.norm(ex + ey))
-
-    def vid(i, j):
-        return (i % nx) * ny + (j % ny)
-
-    tris = []
-    lengths = {}
-
-    def add_edge(a, b, l):
-        key = (min(a, b), max(a, b))
-        lengths[key] = l
-
-    for i in range(nx):
-        for j in range(ny):
-            c00, c10 = vid(i, j), vid(i + 1, j)
-            c01, c11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append([c00, c10, c11])
-            tris.append([c00, c11, c01])
-            add_edge(c00, c10, lx)
-            add_edge(c00, c01, ly)
-            add_edge(c10, c11, ly)
-            add_edge(c01, c11, lx)
-            add_edge(c00, c11, ld)
-    return TriangleMesh(nx * ny, np.array(tris, dtype=np.int64), lengths)
+    # cell (i, j) has corners c00 = vertex (i, j), c10, c01, c11, indexed i * ny + j
+    i, j = np.divmod(np.arange(nx * ny), ny)
+    c00, c10 = i * ny + j, (i + 1) % nx * ny + j
+    c01, c11 = i * ny + (j + 1) % ny, (i + 1) % nx * ny + (j + 1) % ny
+    tris = np.stack([c00, c10, c11, c00, c11, c01], axis=1).reshape(-1, 3)
+    tail, head = _corner_pairs(tris)
+    lengths = np.tile([lx, ly, ld, ld, lx, ly], nx * ny)
+    return TriangleMesh(nx * ny, tris, np.column_stack([tail, head, lengths]))
 
 
 # -- file I/O --------------------------------------------------------------------

@@ -53,16 +53,6 @@ class _Grid:
         return self._scatter(local * (self.area / 60.0)[:, None, None] * (1.0 + np.eye(3)))
 
 
-def square_torus_matrices(n, mu):
-    """Dense P1 stiffness and mu-weighted consistent mass on the unit torus.
-
-    n x n grid, each cell split along the (+1, +1) diagonal. Vertex (i, j)
-    has index i * n + j.
-    """
-    grid = _Grid(n)
-    return grid.stiffness(), grid.mass(np.asarray(mu, dtype=float))
-
-
 def _vertex_areas(n):
     # six incident triangles per vertex on this grid, each of area h^2/2
     h = 1.0 / n

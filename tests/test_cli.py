@@ -145,13 +145,18 @@ def test_flag_not_read_by_subcommand_rejected(argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("case", ["icosphere", "flat-torus:square", "density-no-key"])
+@pytest.mark.parametrize("case", ["icosphere", "flat-torus:square", "density-no-key",
+                                  "off-face-out-of-range"])
 def test_malformed_input_exits_with_input_error(tmp_path, capsys, case):
     argv = ["spectrum", "--out", str(tmp_path / "o")]
     if case == "density-no-key":
         dens = tmp_path / "dens.json"
         dens.write_text(json.dumps({"vertices": 162}))
         argv += ["--gen", "icosphere:2", "--density", str(dens)]
+    elif case == "off-face-out-of-range":
+        off = tmp_path / "bad.off"
+        off.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 1 3 9\n")
+        argv += ["--mesh", str(off)]
     else:
         argv += ["--gen", case]
     assert main(argv) == 2

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from confmax.mesh import (MeshError, TriangleMesh, gen_flat_torus, gen_icosphere,
-                          load_mesh, mesh_stats, save_intrinsic_json)
+from confmax.mesh import (_ICO_FACES, _ICO_VERTS, MeshError, TriangleMesh, gen_flat_torus,
+                          gen_icosphere, load_mesh, mesh_stats, save_intrinsic_json)
 from conftest import EQUILATERAL, SQUARE
 
 
@@ -176,3 +176,126 @@ def test_tetrahedron_valid():
     m = regular_tetrahedron()
     assert m.genus == 0
     assert m.vertex_count == 4
+
+
+def _triples(mesh):
+    return [[int(i), int(j), float(l)] for (i, j), l in zip(mesh.edges, mesh.edge_lengths)]
+
+
+def _two_icosahedra(glue):
+    """Two icosahedra, the second's vertex 0 identified with the first's if `glue`."""
+    ico = gen_icosphere(0)
+    relabel = np.arange(12) + (11 if glue else 12)
+    if glue:
+        relabel[0] = 0
+    lengths = _triples(ico)
+    lengths += [[int(relabel[i]), int(relabel[j]), l] for i, j, l in lengths]
+    return relabel[-1] + 1, np.vstack([ico.triangles, relabel[ico.triangles]]), lengths
+
+
+def _rejection_case(case):
+    ico = gen_icosphere(0)
+    V, tris, lengths = ico.vertex_count, ico.triangles.copy(), _triples(ico)
+    i, j, l = lengths[0]
+    if case == "conflicting-length":
+        lengths.append([j, i, 1.5 * l])
+    elif case == "non-positive-length":
+        lengths[0] = [i, j, 0.0]
+    elif case == "missing-length":
+        del lengths[0]
+    elif case == "length-on-a-non-edge":
+        lengths += [[0, 3, 1.0], [1, 2, 1.0]]
+    elif case == "length-out-of-range":
+        lengths.append([0, 200, 1.0])
+    elif case == "orientation-conflict":
+        tris[5] = tris[5, ::-1]
+    elif case == "open-boundary":
+        tris = tris[np.arange(len(tris)) != 7]
+    elif case == "repeated-vertex":
+        tris[3, 1] = tris[3, 0]
+    elif case == "isolated-vertex":
+        V += 1
+    elif case == "pinched-vertex":
+        V, tris, lengths = _two_icosahedra(glue=True)
+    elif case == "euler-characteristic":
+        V, tris, lengths = _two_icosahedra(glue=False)
+    return V, tris, lengths
+
+
+@pytest.mark.parametrize("case, message", [
+    ("conflicting-length", "conflicting lengths for edge (0,1)"),
+    ("non-positive-length", "non-positive length on edge (0,1)"),
+    ("missing-length", "missing edge length for edge (0,1) of triangle 1"),
+    ("length-on-a-non-edge", "length given for (0,3), not an edge of any triangle"),
+    ("length-out-of-range", "length given for (0,200), not an edge of any triangle"),
+    ("orientation-conflict", "orientation conflict on edge (5,1) between triangles 1 and 5"),
+    ("open-boundary", "open boundary at edge (10,11) (triangle 4)"),
+    ("repeated-vertex", "degenerate triangle 3: repeated vertex"),
+    ("isolated-vertex", "isolated vertex 12"),
+    ("pinched-vertex", "vertex 0 link is not a single cycle"),
+    ("euler-characteristic", "Euler characteristic 4 is not 2-2g for integer g >= 0"),
+])
+def test_rejections_name_the_fault(case, message):
+    V, tris, lengths = _rejection_case(case)
+    with pytest.raises(MeshError) as exc:
+        TriangleMesh(V, tris, lengths)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fixture", ["sphere2", "eq_torus16"])
+def test_edge_table(request, fixture):
+    m = request.getfixturevalue(fixture)
+    opposite = np.sort(m.triangles[:, [[1, 2], [0, 2], [0, 1]]], axis=2)
+    assert np.array_equal(m.edges[m.triangle_edges], opposite)
+    assert np.all(m.edges[:, 0] < m.edges[:, 1])
+    assert np.array_equal(np.bincount(m.triangle_edges.ravel()), np.full(len(m.edges), 2))
+    assert np.array_equal(m.triangle_edge_lengths, m.edge_lengths[m.triangle_edges])
+
+
+def _icosphere_loop(subdivisions):
+    """Reference: per-triangle subdivision with a midpoint dict."""
+    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
+    faces = _ICO_FACES.tolist()
+    for _ in range(subdivisions):
+        midpoint = {}
+
+        def mid(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in midpoint:
+                m = verts[a] + verts[b]
+                verts.append(m / np.linalg.norm(m))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for i, j, k in faces:
+            ij, jk, ki = mid(i, j), mid(j, k), mid(k, i)
+            new_faces += [[i, ij, ki], [j, jk, ij], [k, ki, jk], [ij, jk, ki]]
+        faces = new_faces
+    return np.array(verts), np.array(faces)
+
+
+def test_icosphere_matches_loop_reference():
+    verts, faces = _icosphere_loop(3)
+    m = gen_icosphere(3)
+    assert np.array_equal(m.triangles, faces)
+    assert np.abs(m.embedding - verts).max() <= 1e-15
+
+
+def test_flat_torus_matches_loop_reference():
+    nx, ny = 5, 4
+    m = gen_flat_torus(EQUILATERAL, nx, ny)
+    ex, ey = EQUILATERAL[0] / nx, EQUILATERAL[1] / ny
+    lx, ly, ld = (float(np.linalg.norm(v)) for v in (ex, ey, ex + ey))
+    vid = lambda i, j: (i % nx) * ny + (j % ny)
+    tris, lengths = [], {}
+    for i in range(nx):
+        for j in range(ny):
+            c00, c10, c01, c11 = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
+            tris += [[c00, c10, c11], [c00, c11, c01]]
+            for a, b, l in ((c00, c10, lx), (c00, c01, ly), (c10, c11, ly),
+                            (c01, c11, lx), (c00, c11, ld)):
+                lengths[(min(a, b), max(a, b))] = l
+    assert np.array_equal(m.triangles, tris)
+    assert np.array_equal(m.edges, sorted(lengths))
+    assert np.array_equal(m.edge_lengths, [lengths[k] for k in sorted(lengths)])

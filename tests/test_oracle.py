@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from confmax.oracle import (_project, _vertex_areas, brute_force_torus_max,
-                            square_torus_matrices)
+from confmax.oracle import _Grid, _project, _vertex_areas, brute_force_torus_max
 
 
 def _element_loop(n, mu):
@@ -44,16 +43,15 @@ def _rel(a, b):
 
 def test_matrices_match_element_loop():
     mu = np.random.default_rng(4).uniform(0.2, 3.0, 36)
-    K, M = square_torus_matrices(6, mu)
+    grid = _Grid(6)
+    K, M = grid.stiffness(), grid.mass(mu)
     K_ref, M_ref = _element_loop(6, mu)
     assert _rel(K, K_ref) <= 1e-14
     assert _rel(M, M_ref) <= 1e-14
 
 
 def test_stiffness_symmetric_zero_row_sums_and_density_free():
-    rng = np.random.default_rng(5)
-    K, _ = square_torus_matrices(6, rng.uniform(0.2, 3.0, 36))
-    K2, _ = square_torus_matrices(6, rng.uniform(0.2, 3.0, 36))
+    K, K2 = _Grid(6).stiffness(), _Grid(6).stiffness()
     assert np.array_equal(K, K.T)
     assert np.abs(K.sum(axis=1)).max() <= 1e-13
     assert np.array_equal(K, K2)
@@ -61,7 +59,7 @@ def test_stiffness_symmetric_zero_row_sums_and_density_free():
 
 def test_mass_total_is_integral_of_density():
     mu = np.random.default_rng(6).uniform(0.2, 3.0, 36)
-    _, M = square_torus_matrices(6, mu)
+    M = _Grid(6).mass(mu)
     assert M.sum() == pytest.approx(_vertex_areas(6) @ mu, rel=1e-14)
 
 
