@@ -79,8 +79,7 @@ def _schur_reduce(K, support, excluded):
     """Eliminate zero-mass vertices: K_ss - K_se K_ee^{-1} K_es."""
     Kss = K[np.ix_(support, support)]
     Kse = K[np.ix_(support, excluded)]
-    Kee = K[np.ix_(excluded, excluded)].tocsc()
-    lu = splu(Kee.tocsc())
+    lu = splu(K[np.ix_(excluded, excluded)].tocsc())
     correction = Kse @ lu.solve(Kse.T.toarray())
     return sparse.csr_matrix(Kss - sparse.csr_matrix(correction))
 

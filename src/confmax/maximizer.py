@@ -67,6 +67,8 @@ class TraceRow:
     ENeg_measure: float
     step: float
     frame_obj: float
+    frame_steps: int   # select_frame steps at this iterate
+    frame_stop: str    # select_frame stop reason at this iterate
     wall_ms: float
 
 
@@ -251,7 +253,9 @@ def maximize(mesh, mu0, config=AscentConfig()):
                 lambda1_area=info["lambda_next"],
                 EN_measure=saturated_measure(mesh, mu_next),
                 ENeg_measure=negative_measure(mesh, mu_next),
-                step=info["step"], frame_obj=info["frame_obj"], wall_ms=wall))
+                step=info["step"], frame_obj=info["frame_obj"],
+                frame_steps=frame.iterations, frame_stop=frame.stop_reason,
+                wall_ms=wall))
             it_global += 1
             moved = info["step"] > 0.0
             lam_change = abs(info["lambda_next"] - info["lambda_k"])

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from confmax.eigen import solve_pencil
-from confmax.fem import assemble_mass, assemble_stiffness, uniform_density
+from confmax.fem import (DensityField, assemble_mass, assemble_stiffness,
+                         uniform_density)
 from confmax.frame import (FrameError, SphereFrame, _moments, _objective,
                            _quadrature_points, harmonic_residual,
                            recover_density, select_frame, with_eigenvalue)
+from confmax.maximizer import AscentConfig, maximize
 from confmax.mesh import gen_flat_torus, gen_icosphere
 from conftest import EQUILATERAL
 
@@ -89,23 +91,61 @@ def test_reported_objective_is_exact_misfit(lambda1_basis):
     assert frame.objective == _objective(basis, mesh, frame.Q)
 
 
-def test_stop_reason_stagnated_on_sphere(sphere2):
+def test_stop_reason_converged_on_sphere(sphere2):
     res, mu = _first_cluster(sphere2, k=8)
     frame = select_frame(res.cluster_basis(0), sphere2, mu)
-    assert (frame.stop_reason, frame.iterations) == ("stagnated", 12)
+    assert (frame.stop_reason, frame.iterations) == ("converged", 2)
     carried = with_eigenvalue(frame, res.lambda1)
-    assert (carried.stop_reason, carried.iterations) == ("stagnated", 12)
+    assert (carried.stop_reason, carried.iterations) == ("converged", 2)
+    # c I with c from an Armijo projected-gradient run on the same cluster
+    assert np.abs(frame.Q - 0.33331984000865 * np.eye(3)).max() < 1e-10
 
 
-def test_stop_reason_iteration_cap_on_merged_torus_cluster():
+def _long_run_frame_q(basis, mesh, steps=20000):
+    """Plain FISTA without restart or stop: a reference minimizer of f."""
+    T, G = _moments(basis, mesh)
+    m = basis.shape[1]
+    L = 2.0 * np.linalg.eigvalsh(T)[-1]
+    q = y = np.eye(m).ravel() / m
+    t = 1.0
+    for _ in range(steps):
+        w, P = np.linalg.eigh((y - 2.0 / L * (T @ y - G)).reshape(m, m))
+        qn = ((P * np.clip(w, 0.0, None)) @ P.T).ravel()
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = qn + (t - 1.0) / t_next * (qn - q)
+        q, t = qn, t_next
+    return q.reshape(m, m)
+
+
+def test_stop_reason_criterion_on_merged_torus_cluster():
     # n=16 splits lambda1 4+2; a 15% gap merges the six into one cluster that
-    # no PSD Q fits exactly, so the descent runs to its cap
+    # no PSD Q fits exactly, so the solve must end on a criterion at the optimum
     mesh = gen_flat_torus(EQUILATERAL, 16, 16)
     res, mu = _first_cluster(mesh, k=8, rel_gap=0.15)
     basis = res.cluster_basis(0)
     assert basis.shape[1] == 6
     frame = select_frame(basis, mesh, mu)
-    assert (frame.stop_reason, frame.iterations) == ("iteration-cap", 2000)
+    assert frame.stop_reason in ("converged", "stagnated")
+    assert frame.iterations <= 400
+    # f after 2000 Armijo projected-gradient steps
+    assert frame.objective <= 6.5821824309e-05
+    reference = _objective(basis, mesh, _long_run_frame_q(basis, mesh))
+    assert abs(frame.objective - reference) <= 1e-9 * reference
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_tilted_sphere_frames_stop_early():
+    # every frame of this ascent must end on a criterion well before the cap;
+    # the first (m=2) frame is the one that ends on the stagnation stop
+    mesh = gen_icosphere(3)
+    axis = np.random.default_rng(43000).standard_normal(3)
+    x = mesh.embedding / np.linalg.norm(mesh.embedding, axis=1)[:, None]
+    vals = 1.0 + 0.5 * (x @ (axis / np.linalg.norm(axis)))
+    mu0 = DensityField(mesh, vals / (mesh.vertex_areas @ vals))
+    trace = maximize(mesh, mu0, AscentConfig(seed=43000))[3]
+    assert len(trace.rows) > 10
+    assert {row.frame_stop for row in trace.rows} == {"converged", "stagnated"}
+    assert all(0 < row.frame_steps <= 50 for row in trace.rows)
 
 
 def test_sphere_frame_recovers_coordinates(sphere4):
