@@ -34,7 +34,10 @@ class AscentConfig:
 
     n_schedule entries and the floor are multiples of the mean density 1/A
     (the continuum normalization puts unit mass on the surface, so on a
-    unit-area surface these coincide with the absolute bounds).
+    unit-area surface these coincide with the absolute bounds). k_eigen sizes
+    the solves at each iterate and the final solve, whose leading cluster
+    feeds the frame and the certificate; line-search trials solve for the
+    first eigenpair only.
     """
     n_schedule: tuple = (4.0, 16.0, 64.0)
     damping: float = 0.5
@@ -69,6 +72,7 @@ class TraceRow:
     frame_obj: float
     frame_steps: int   # select_frame steps at this iterate
     frame_stop: str    # select_frame stop reason at this iterate
+    trials: int        # line-search pencil solves at this iterate
     wall_ms: float
 
 
@@ -116,10 +120,12 @@ def project_density(mesh, values, floor, cap):
     return DensityField(mesh, out, floor, cap)
 
 
-def _solve(K, mesh, density, config):
-    # solve for the whole leading block: ARPACK handles degenerate lambda_1
-    # clusters far better when the requested subspace spans them
-    return solve_pencil(K, assemble_mass(mesh, density), k=config.k_eigen,
+def _solve(K, mesh, density, config, k):
+    # k = config.k_eigen where the leading cluster is used (frame, certificate):
+    # ARPACK resolves a degenerate lambda_1 cluster far better when the requested
+    # block spans it. A line-search trial reads lambda_1 alone, so it asks for
+    # k = 1 and stays clear of the slowly converging higher clusters.
+    return solve_pencil(K, assemble_mass(mesh, density), k=k,
                         tol=config.eig_tol, rel_gap=config.rel_gap, seed=config.seed)
 
 
@@ -133,12 +139,14 @@ def ascent_step(mesh, mu_k, config, K=None):
 
     Returns (mu_next, spectral_at_mu_k, frame_at_mu_k, info). info records the
     accepted step size (0.0 when every trial decreased lambda and the iterate
-    was kept) and the eigenvalue at the accepted density.
+    was kept), the eigenvalue at the accepted density and the number of
+    line-search trials. The solve at mu_k asks for config.k_eigen eigenpairs;
+    each trial asks for lambda_1 alone, the only value the safeguard compares.
     """
     if K is None:
         K = assemble_stiffness(mesh)
     floor, cap = mu_k.floor, mu_k.cap
-    spectral = _solve(K, mesh, mu_k, config)
+    spectral = _solve(K, mesh, mu_k, config, config.k_eigen)
     frame = _cluster_frame(mesh, mu_k, spectral)
     lam_k = spectral.lambda1
     nu = recover_density(mesh, frame)
@@ -147,25 +155,19 @@ def ascent_step(mesh, mu_k, config, K=None):
     # anything looser breaks both the monotone-trace invariant and the exact
     # fixed-point behaviour at symmetric optima
     tol_abs = 1e-12 * lam_k
-    best = (lam_k, mu_k, 0.0)
     t = config.damping
-    accepted = None
-    for _ in range(7):  # initial step plus six halvings
+    accepted = (lam_k, mu_k, 0.0)  # kept when every trial decreases lambda
+    for trials in range(1, 8):  # initial step plus six halvings
         cand = project_density(mesh, (1.0 - t) * mu_k.values + t * nu.values,
                                floor, cap)
-        lam_c = _solve(K, mesh, cand, config).lambda1
-        if lam_c > best[0]:
-            best = (lam_c, cand, t)
+        lam_c = _solve(K, mesh, cand, config, 1).lambda1
         if lam_c >= lam_k - tol_abs:
             accepted = (lam_c, cand, t)
             break
         t *= 0.5
-    if accepted is None:
-        # fall back to the best trial only if it improves; else keep mu_k
-        accepted = best
     lam_next, mu_next, t_used = accepted
     info = {"step": t_used, "lambda_next": lam_next, "lambda_k": lam_k,
-            "frame_obj": frame.objective}
+            "frame_obj": frame.objective, "trials": trials}
     return mu_next, spectral, frame, info
 
 
@@ -255,7 +257,7 @@ def maximize(mesh, mu0, config=AscentConfig()):
                 ENeg_measure=negative_measure(mesh, mu_next),
                 step=info["step"], frame_obj=info["frame_obj"],
                 frame_steps=frame.iterations, frame_stop=frame.stop_reason,
-                wall_ms=wall))
+                trials=info["trials"], wall_ms=wall))
             it_global += 1
             moved = info["step"] > 0.0
             lam_change = abs(info["lambda_next"] - info["lambda_k"])
@@ -267,7 +269,7 @@ def maximize(mesh, mu0, config=AscentConfig()):
             status = "iteration-cap"
         sat_constant = max(sat_constant, saturated_measure(mesh, mu) * cap)
 
-    spectral = _solve(K, mesh, mu, config)
+    spectral = _solve(K, mesh, mu, config, config.k_eigen)
     frame = _cluster_frame(mesh, mu, spectral)
     collapse = detect_collapse(mu, mesh)
     if collapse["flag"]:

@@ -4,13 +4,15 @@ Deliberately independent of the main pipeline: it shares no assembly code
 with `confmax.fem` or `confmax.mesh`. Its own dense assembly on a structured
 square-torus grid (the stiffness once per call, since it does not depend on
 the density; the density-weighted mass at every step), a dense generalized
-eigensolver, and a plain projected-subgradient ascent with random restarts.
-Small grids only.
+eigensolver for the leading eigenpairs, and a plain projected-subgradient
+ascent with random restarts. Small grids only.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import eigh
+
+_EIGS = 13  # eigenpairs computed per step, the constant mode included
 
 
 class _Grid:
@@ -76,10 +78,14 @@ def _project(values, areas, cap):
 
 
 def _lambda_and_grad(K, M, areas, cluster_gap=0.02):
-    vals, vecs = eigh(K, M + 1e-13 * np.eye(len(M)))
+    # only the leading eigenpairs: the constant mode and room for the first cluster
+    vals, vecs = eigh(K, M + 1e-13 * np.eye(len(M)), subset_by_index=[0, _EIGS - 1])
     lam = vals[1]  # vals[0] is the constant mode
     # subgradient averaged over the first cluster to tame multiplicity
     count = np.searchsorted(vals[1:], lam * (1.0 + cluster_gap), side="right")
+    if count == len(vals) - 1:
+        raise RuntimeError(f"the first eigenvalue cluster reaches all {len(vals)} "
+                           "computed eigenvalues; it may continue beyond them")
     return lam, -lam * areas * np.mean(vecs[:, 1:1 + count] ** 2, axis=1)
 
 

@@ -3,10 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from confmax.fem import DensityField
 from confmax.mesh import gen_flat_torus, gen_icosphere
 
 EQUILATERAL = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 SQUARE = np.eye(2)
+
+
+def tilted_density(mesh, seed):
+    """Unit-mass smooth tilt 1 + (x . a)/2 of a sphere about a seeded axis a."""
+    axis = np.random.default_rng(seed).standard_normal(3)
+    x = mesh.embedding / np.linalg.norm(mesh.embedding, axis=1)[:, None]
+    vals = 1.0 + 0.5 * (x @ (axis / np.linalg.norm(axis)))
+    return DensityField(mesh, vals / (mesh.vertex_areas @ vals))
 
 
 @pytest.fixture(scope="session")

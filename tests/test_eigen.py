@@ -8,7 +8,7 @@ from confmax.eigen import (EigenError, IndefiniteMassError, cluster_eigenvalues,
                            solve_pencil, spectrum_rows)
 from confmax.fem import assemble_mass, assemble_stiffness, random_density, uniform_density
 from confmax.mesh import gen_flat_torus
-from conftest import SQUARE
+from conftest import SQUARE, tilted_density
 
 
 def _solve_uniform(mesh, k, seed=0):
@@ -81,6 +81,20 @@ def test_mesh_convergence_order():
         errs.append(abs(res.lambda1 - 8 * math.pi))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8
+
+
+@pytest.mark.parametrize("case", ["sphere 3-fold", "square 4-fold",
+                                  "equilateral 4+2", "tilted sphere"])
+def test_lambda1_alone_matches_leading_block(case, sphere3, square_torus16, eq_torus16):
+    mesh, mu = {"sphere 3-fold": (sphere3, uniform_density(sphere3)),
+                "square 4-fold": (square_torus16, uniform_density(square_torus16)),
+                "equilateral 4+2": (eq_torus16, uniform_density(eq_torus16)),
+                "tilted sphere": (sphere3, tilted_density(sphere3, 43000))}[case]
+    K, M = assemble_stiffness(mesh), assemble_mass(mesh, mu)
+    alone = solve_pencil(K, M, k=1)
+    block = solve_pencil(K, M, k=8)
+    assert alone.eigenvalues.shape == (1,)
+    assert abs(alone.lambda1 - block.lambda1) <= 1e-12 * block.lambda1
 
 
 def test_determinism(sphere2):

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from confmax.eigen import solve_pencil
-from confmax.fem import (DensityField, assemble_mass, assemble_stiffness,
-                         uniform_density)
+from confmax.fem import assemble_mass, assemble_stiffness, uniform_density
 from confmax.frame import (FrameError, SphereFrame, _moments, _objective,
                            _quadrature_points, harmonic_residual,
                            recover_density, select_frame, with_eigenvalue)
 from confmax.maximizer import AscentConfig, maximize
 from confmax.mesh import gen_flat_torus, gen_icosphere
-from conftest import EQUILATERAL
+from conftest import EQUILATERAL, tilted_density
 
 
 def _first_cluster(mesh, k=9, seed=0, rel_gap=0.02):
@@ -138,11 +137,7 @@ def test_tilted_sphere_frames_stop_early():
     # every frame of this ascent must end on a criterion well before the cap;
     # the first (m=2) frame is the one that ends on the stagnation stop
     mesh = gen_icosphere(3)
-    axis = np.random.default_rng(43000).standard_normal(3)
-    x = mesh.embedding / np.linalg.norm(mesh.embedding, axis=1)[:, None]
-    vals = 1.0 + 0.5 * (x @ (axis / np.linalg.norm(axis)))
-    mu0 = DensityField(mesh, vals / (mesh.vertex_areas @ vals))
-    trace = maximize(mesh, mu0, AscentConfig(seed=43000))[3]
+    trace = maximize(mesh, tilted_density(mesh, 43000), AscentConfig(seed=43000))[3]
     assert len(trace.rows) > 10
     assert {row.frame_stop for row in trace.rows} == {"converged", "stagnated"}
     assert all(0 < row.frame_steps <= 50 for row in trace.rows)

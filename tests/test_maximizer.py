@@ -5,11 +5,14 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
+import confmax.maximizer
 from confmax.fem import DensityField, random_density, uniform_density
 from confmax.maximizer import (AscentConfig, ProjectionError, ascent_step,
                                detect_collapse, make_initial_density, maximize,
                                negative_measure, project_density,
                                saturated_measure, trace_csv_rows)
+from confmax.mesh import gen_icosphere
+from conftest import tilted_density
 
 
 def test_config_validation():
@@ -64,6 +67,46 @@ def test_ascent_step_monotone(sphere3):
     _, spectral, _, info = ascent_step(sphere3, mu, cfg)
     assert info["lambda_next"] >= info["lambda_k"] * (1.0 - 1e-12)
     assert info["lambda_k"] == pytest.approx(spectral.lambda1)
+
+
+def _record_k(monkeypatch):
+    asked = []
+    solve = confmax.maximizer.solve_pencil
+
+    def recording(K, M, k, **kwargs):
+        asked.append(k)
+        return solve(K, M, k, **kwargs)
+    monkeypatch.setattr(confmax.maximizer, "solve_pencil", recording)
+    return asked
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_trials_solve_for_lambda1_alone(sphere3, monkeypatch):
+    asked = _record_k(monkeypatch)
+    cfg = AscentConfig(seed=1)
+    mu = project_density(sphere3, random_density(sphere3, 7).values, 0.0,
+                         4.0 / sphere3.area)
+    _, spectral, _, info = ascent_step(sphere3, mu, cfg)
+    assert info["trials"] == 3  # t = 1/2 and 1/4 rejected, t = 1/8 accepted
+    assert asked == [cfg.k_eigen, 1, 1, 1]
+    assert len(spectral.eigenvalues) == cfg.k_eigen
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_tilted_sphere_path(monkeypatch):
+    # the iterate and final solves ask for the whole block, every trial for
+    # lambda_1 alone; the steps are those this path takes when the trials
+    # solve for the whole block too
+    asked = _record_k(monkeypatch)
+    mesh = gen_icosphere(3)
+    cfg = AscentConfig(seed=43000)
+    trace = maximize(mesh, tilted_density(mesh, 43000), cfg)[3]
+    expected = []
+    for row in trace.rows:
+        expected += [cfg.k_eigen] + [1] * row.trials
+    assert asked == expected + [cfg.k_eigen]
+    assert [row.step for row in trace.rows] == [0.25] + [0.5] * 11 + [0.0] * 3
+    assert [row.trials for row in trace.rows] == [2] + [1] * 11 + [7] * 3
 
 
 def test_maximize_sphere_reaches_round_value(sphere3):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from confmax.oracle import _Grid, _project, _vertex_areas, brute_force_torus_max
+from confmax.oracle import (_Grid, _lambda_and_grad, _project, _vertex_areas,
+                            brute_force_torus_max)
 
 
 def _element_loop(n, mu):
@@ -82,6 +84,34 @@ def test_project_feasible_and_equal_to_full_bisection(seed):
     assert mu.min() >= 0.0 and mu.max() <= 4.0
     assert areas @ mu == pytest.approx(1.0, rel=1e-12)
     assert np.array_equal(mu, _project_full(values, areas, 4.0))
+
+
+def _lambda_and_grad_full(K, M, areas, cluster_gap=0.02):
+    """Reference: the same subgradient from the whole dense spectrum."""
+    vals, vecs = eigh(K, M + 1e-13 * np.eye(len(M)))
+    lam = vals[1]
+    count = np.searchsorted(vals[1:], lam * (1.0 + cluster_gap), side="right")
+    return lam, -lam * areas * np.mean(vecs[:, 1:1 + count] ** 2, axis=1)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])  # None: uniform, a 4-fold cluster
+def test_leading_eigenpairs_match_full_spectrum(seed):
+    n = 12
+    grid, areas = _Grid(n), _vertex_areas(n)
+    mu = (np.ones(n * n) if seed is None else
+          _project(np.random.default_rng(seed).uniform(0.5, 1.5, n * n), areas, 64.0))
+    K, M = grid.stiffness(), grid.mass(mu)
+    lam, grad = _lambda_and_grad(K, M, areas)
+    lam_ref, grad_ref = _lambda_and_grad_full(K, M, areas)
+    assert lam == pytest.approx(lam_ref, rel=1e-12)
+    assert _rel(grad, grad_ref) <= 1e-12
+
+
+def test_cluster_reaching_the_last_computed_eigenvalue_is_refused():
+    grid, areas = _Grid(6), _vertex_areas(6)
+    M = grid.mass(np.ones(36))
+    with pytest.raises(RuntimeError, match="cluster reaches all 13"):
+        _lambda_and_grad(grid.stiffness(), M, areas, cluster_gap=10.0)
 
 
 def test_brute_force_value_unchanged():
