@@ -208,7 +208,7 @@ def monotonicity_check(trace, name, lam_tol=1e-7):
 
 
 def saturation_check(trace, name):
-    per_n = {}
+    per_n = dict.fromkeys(trace.skipped_stages, 0.0)  # such a stage never reached its cap
     for r in trace.rows:
         per_n[r.N] = r.EN_measure  # last iterate per N wins
     ns = sorted(per_n)

@@ -162,6 +162,7 @@ def cmd_maximize(args, cfg):
         "lambda1_area": spectral.lambda1,
         "iterations": len(trace.rows),
         "saturation_constant": trace.saturation_constant,
+        "skipped_stages": trace.skipped_stages,
     }
     (out / "final.json").write_text(json.dumps(state, indent=2))
     if args.dump_matrices:

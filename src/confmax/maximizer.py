@@ -81,6 +81,7 @@ class AscentTrace:
     rows: list = field(default_factory=list)
     status: str = "converged"
     saturation_constant: float = 0.0  # max over schedule of A(E_N) * N
+    skipped_stages: list = field(default_factory=list)  # N values run without iterations
     certificate: dict | None = None
 
 
@@ -139,9 +140,10 @@ def ascent_step(mesh, mu_k, config, K=None):
 
     Returns (mu_next, spectral_at_mu_k, frame_at_mu_k, info). info records the
     accepted step size (0.0 when every trial decreased lambda and the iterate
-    was kept), the eigenvalue at the accepted density and the number of
-    line-search trials. The solve at mu_k asks for config.k_eigen eigenpairs;
-    each trial asks for lambda_1 alone, the only value the safeguard compares.
+    was kept), the eigenvalue at the accepted density, the number of
+    line-search trials and "capped": whether any trial candidate reached the
+    cap. The solve at mu_k asks for config.k_eigen eigenpairs; each trial asks
+    for lambda_1 alone, the only value the safeguard compares.
     """
     if K is None:
         K = assemble_stiffness(mesh)
@@ -157,9 +159,11 @@ def ascent_step(mesh, mu_k, config, K=None):
     tol_abs = 1e-12 * lam_k
     t = config.damping
     accepted = (lam_k, mu_k, 0.0)  # kept when every trial decreases lambda
+    capped = False
     for trials in range(1, 8):  # initial step plus six halvings
         cand = project_density(mesh, (1.0 - t) * mu_k.values + t * nu.values,
                                floor, cap)
+        capped = capped or bool(cand.values.max() >= cap)
         lam_c = _solve(K, mesh, cand, config, 1).lambda1
         if lam_c >= lam_k - tol_abs:
             accepted = (lam_c, cand, t)
@@ -167,7 +171,7 @@ def ascent_step(mesh, mu_k, config, K=None):
         t *= 0.5
     lam_next, mu_next, t_used = accepted
     info = {"step": t_used, "lambda_next": lam_next, "lambda_k": lam_k,
-            "frame_obj": frame.objective, "trials": trials}
+            "frame_obj": frame.objective, "trials": trials, "capped": capped}
     return mu_next, spectral, frame, info
 
 
@@ -226,7 +230,18 @@ def make_initial_density(mesh, init, floor, cap, seed=0):
 
 
 def maximize(mesh, mu0, config=AscentConfig()):
-    """Continuation over the N schedule; returns (mu*, spectral, frame, trace)."""
+    """Continuation over the N schedule; returns (mu*, spectral, frame, trace).
+
+    Each stage projects mu into the box [floor, N/A] and iterates ascent_step
+    until a step is rejected or lambda stops moving. Once a stage ends on a
+    rejected step none of whose trials reached the cap, every later stage only
+    re-projects mu and runs no iterations; its N goes to trace.skipped_stages.
+    This is exact: no trial was clipped at the cap and the floor is fixed, so a
+    larger cap gives the same trial projections, the stage would repeat the
+    same rejected step, and by induction so would every later one. A skipped
+    stage inherits the ending of the stage it repeats, so any status that
+    describes how a stage ended applies to it unchanged.
+    """
     from .certify import certificate  # local import: certify depends on this module
 
     K = assemble_stiffness(mesh)
@@ -238,6 +253,7 @@ def maximize(mesh, mu0, config=AscentConfig()):
     spectral = frame = None
     it_global = 0
     status = "converged"
+    settled = False  # a stage ended on a rejected step that no cap could bind
 
     for n_rel in config.n_schedule:
         cap = n_rel / A
@@ -245,8 +261,10 @@ def maximize(mesh, mu0, config=AscentConfig()):
             mu = make_initial_density(mesh, mu0, floor, cap, seed=config.seed)
         else:
             mu = project_density(mesh, mu.values, floor, cap)
-        converged = False
-        for _ in range(config.max_iters):
+        if settled:
+            trace.skipped_stages.append(n_rel)
+        converged = settled
+        for _ in range(0 if settled else config.max_iters):
             t0 = time.perf_counter()
             mu_next, spectral, frame, info = ascent_step(mesh, mu, config, K=K)
             wall = (time.perf_counter() - t0) * 1e3
@@ -264,6 +282,7 @@ def maximize(mesh, mu0, config=AscentConfig()):
             mu = mu_next
             if not moved or lam_change <= config.lam_tol * info["lambda_k"]:
                 converged = True
+                settled = not moved and not info["capped"]
                 break
         if not converged:
             status = "iteration-cap"

@@ -57,6 +57,19 @@ def test_maximize_outputs(tmp_path):
     assert len(dens["density"]) == dens["vertices"]
 
 
+def test_maximize_records_skipped_stages(tmp_path):
+    # the uniform sphere is a fixed point well below the cap: the N=4 stage
+    # ends on one rejected step and the N=16 stage runs no iterations
+    out = tmp_path / "run"
+    rc = main(["maximize", "--gen", "icosphere:2", "--out", str(out),
+               "--n-schedule", "4,16", "--density", "uniform"])
+    assert rc == 0
+    final = json.loads((out / "final.json").read_text())
+    assert final["skipped_stages"] == [16.0]
+    assert final["iterations"] == 1
+    assert len((out / "trace.csv").read_text().splitlines()) == 2
+
+
 def test_maximize_density_roundtrip(tmp_path):
     # a maximize output file is accepted back as a density initializer
     out1 = tmp_path / "a"

@@ -6,6 +6,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import confmax.maximizer
+from confmax.bench import saturation_check
 from confmax.fem import DensityField, random_density, uniform_density
 from confmax.maximizer import (AscentConfig, ProjectionError, ascent_step,
                                detect_collapse, make_initial_density, maximize,
@@ -60,6 +61,16 @@ def test_uniform_sphere_is_fixed_point(sphere3):
     assert move < 1e-6
 
 
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_ascent_step_reports_capped_trials(sphere3):
+    loose = project_density(sphere3, uniform_density(sphere3).values, 0.0,
+                            4.0 / sphere3.area)
+    assert not ascent_step(sphere3, loose, AscentConfig())[3]["capped"]
+    tight = project_density(sphere3, tilted_density(sphere3, 43000).values, 0.0,
+                            1.1 / sphere3.area)
+    assert ascent_step(sphere3, tight, AscentConfig(seed=43000))[3]["capped"]
+
+
 def test_ascent_step_monotone(sphere3):
     cfg = AscentConfig(seed=1)
     cap = 4.0 / sphere3.area
@@ -105,8 +116,41 @@ def test_tilted_sphere_path(monkeypatch):
     for row in trace.rows:
         expected += [cfg.k_eigen] + [1] * row.trials
     assert asked == expected + [cfg.k_eigen]
-    assert [row.step for row in trace.rows] == [0.25] + [0.5] * 11 + [0.0] * 3
-    assert [row.trials for row in trace.rows] == [2] + [1] * 11 + [7] * 3
+    # the N=4 stage ends on a rejected step whose trials stay below the cap,
+    # so the N=16 and N=64 stages would repeat it and run no iterations
+    assert [row.step for row in trace.rows] == [0.25] + [0.5] * 11 + [0.0]
+    assert [row.trials for row in trace.rows] == [2] + [1] * 11 + [7]
+    assert trace.skipped_stages == [16.0, 64.0]
+
+
+def _tilted_sphere_run(n_schedule):
+    mesh = gen_icosphere(3)
+    cfg = AscentConfig(seed=43000, n_schedule=n_schedule)
+    return maximize(mesh, tilted_density(mesh, 43000), cfg)
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_stage_runs_when_a_trial_reached_the_cap():
+    trace = _tilted_sphere_run((1.25, 4.0))[3]
+    assert len(trace.rows) == 7
+    assert any(row.N == 4.0 for row in trace.rows)
+    assert trace.skipped_stages == []
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_stage_skipped_when_no_trial_reached_the_cap():
+    _, spectral, _, trace = _tilted_sphere_run((1.1, 4.0))
+    assert len(trace.rows) == 28
+    assert all(row.N == 1.1 for row in trace.rows)
+    assert trace.rows[-1].step == 0.0
+    assert trace.skipped_stages == [4.0]
+    # the value the run reaches when the N=4 stage repeats the rejected step
+    assert spectral.lambda1 == pytest.approx(25.157516273690796, rel=1e-12)
+    # the skipped stage never reached its cap: A(E_4) = 0 in the decay check
+    check = saturation_check(trace, "tilted sphere")
+    assert check.passed
+    assert check.detail.endswith(f"measures ['{trace.rows[-1].EN_measure:.3e}', "
+                                 "'0.000e+00']")
 
 
 def test_maximize_sphere_reaches_round_value(sphere3):
