@@ -10,7 +10,6 @@ from .frame import (FrameError, SphereFrame, harmonic_residual, recover_density,
                     select_frame)
 from .maximizer import (AscentConfig, AscentTrace, ascent_step, detect_collapse,
                         maximize, project_density)
-from .certify import (CenteringError, certificate, moebius_center, moebius_map,
-                      yang_yau_bound)
+from .certify import certificate, moebius_map, yang_yau_bound
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Extremality certificates and the Moebius centering utility.
+"""Extremality certificates and the Moebius automorphisms of the sphere.
 
 Everything numerically checkable about a candidate maximizer is gathered in
 one report: sphere constraint, density recovery, harmonic-map residual,
@@ -18,10 +18,6 @@ from .maximizer import detect_collapse, negative_measure, saturated_measure
 CERT_SCHEMA = "confspec-cert-1"
 _TOL_MESH = 0.02
 _SINGULAR_REL = 1e-3  # singular vertex: grad_sum below this fraction of its mean
-
-
-class CenteringError(RuntimeError):
-    pass
 
 
 def yang_yau_bound(genus):
@@ -111,57 +107,3 @@ def moebius_map(e, x):
     den = 1.0 - 2.0 * ex + e2 * x2
     out = num / den[:, None]
     return out[0] if single else out
-
-
-def moebius_center(weights, points, tol=1e-10, max_iters=100):
-    """Unique e with |e| < 1 making the pushed-forward measure have zero mean.
-
-    Damped Newton on F(e) = sum_j w_j sigma_e(x_j) with a finite-difference
-    Jacobian; backtracking keeps |e| < 1 and forces residual decrease.
-    """
-    weights = np.asarray(weights, dtype=float)
-    points = np.asarray(points, dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-8:
-        raise ValueError("weights must sum to 1")
-
-    def F(e):
-        return weights @ moebius_map(e, points)
-
-    e = np.zeros(3)
-    r = F(e)
-    rn = np.linalg.norm(r)
-    for _ in range(max_iters):
-        if rn < tol:
-            return e
-        h = 1e-6
-        J = np.empty((3, 3))
-        for k in range(3):
-            de = np.zeros(3)
-            de[k] = h
-            J[:, k] = (F(e + de) - F(e - de)) / (2.0 * h)
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise CenteringError("measure nearly atomic; no interior center") from exc
-        s = 1.0
-        for _ in range(60):
-            cand = e + s * step
-            if np.dot(cand, cand) < 1.0:
-                rc = F(cand)
-                rcn = np.linalg.norm(rc)
-                if rcn < rn * (1.0 - 0.25 * s) or rcn < tol:
-                    e, r, rn = cand, rc, rcn
-                    break
-            s *= 0.5
-        else:
-            raise CenteringError("measure nearly atomic; no interior center")
-    raise CenteringError("measure nearly atomic; no interior center")
-
-
-def moebius_center_mesh(mesh, mu):
-    """Center the vertex-area measure of an embedded spherical mesh."""
-    if mesh.embedding is None:
-        raise ValueError("mesh has no embedding")
-    pts = mesh.embedding / np.linalg.norm(mesh.embedding, axis=1)[:, None]
-    w = mu.values * mesh.vertex_areas
-    return moebius_center(w / w.sum(), pts)

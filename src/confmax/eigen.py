@@ -12,8 +12,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .fem import MassMatrix, StiffnessMatrix
-
 
 class EigenError(RuntimeError):
     pass
@@ -85,17 +83,16 @@ def _schur_reduce(K, support, excluded):
 
 
 def solve_pencil(K, M, k, tol=1e-10, rel_gap=DEFAULT_REL_GAP, seed=0):
-    """k smallest eigenpairs of K u = lambda M u above the deflated zero mode."""
+    """k smallest eigenpairs of K u = lambda M u above the deflated zero mode.
+
+    K is a StiffnessMatrix and M a MassMatrix.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    Kmat = K.matrix if isinstance(K, StiffnessMatrix) else K
-    if isinstance(M, MassMatrix):
-        Mmat, psd = M.matrix, M.psd_blocks
-    else:
-        Mmat, psd = M, True
+    Kmat, Mmat = K.matrix, M.matrix
     V = Kmat.shape[0]
 
-    if not psd:
+    if not M.psd_blocks:
         _check_inertia(Mmat)
 
     mdiag = np.asarray(Mmat.diagonal())

@@ -6,7 +6,7 @@ conformal invariant in 2D); mass carries the per-vertex conformal density.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -69,21 +69,12 @@ def random_density(mesh, seed, lo=0.5, hi=1.5, floor=None, cap=None):
 @dataclass(frozen=True)
 class StiffnessMatrix:
     matrix: sparse.csr_matrix
-    thin_triangles: tuple = ()
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 @dataclass(frozen=True)
 class MassMatrix:
     matrix: sparse.csr_matrix
     psd_blocks: bool   # every element block is PSD, hence so is the matrix
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 def assemble_stiffness(mesh):
@@ -105,7 +96,7 @@ def assemble_stiffness(mesh):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(V, V)).tocsr()
     K.sum_duplicates()
-    return StiffnessMatrix(K, tuple(int(t) for t in thin))
+    return StiffnessMatrix(K)
 
 
 def _element_blocks_psd(m):

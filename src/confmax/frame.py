@@ -16,7 +16,6 @@ field.
 """
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -52,7 +51,6 @@ class SphereFrame:
     U: np.ndarray             # (V, ell) selected eigenfunctions
     Q: np.ndarray             # (m, m) PSD coefficient matrix on the input basis
     w: np.ndarray             # (V,) pointwise sum of squares
-    lam: float                # cluster eigenvalue
     objective: float          # final value of the sphere-constraint least squares
     attained: bool            # False when the objective exceeds ATTAINED_RTOL * area
     iterations: int = 0       # projected-gradient steps taken
@@ -94,7 +92,7 @@ def _psd_clip(Q):
     return (P * w) @ P.T
 
 
-def select_frame(basis, mesh, density):
+def select_frame(basis, mesh):
     """Pick Q >= 0 minimizing the exact integral of (sum Q_ab v_a v_b - 1)^2.
 
     Accelerated projected gradient (FISTA, Beck-Teboulle 2009) on the PSD
@@ -113,9 +111,13 @@ def select_frame(basis, mesh, density):
     - "iteration-cap": MAX_ITERS projected steps, neither of the above.
 
     A step costs O(m^4) after the O(F m^4) moment build. The returned
-    objective is a fresh quadrature at the final Q. The soft mass constraint
-    int w mu dA <= 1 + 1e-6 is enforced by rescaling; the constraint counts
-    as attained when that objective is at most ATTAINED_RTOL times the area.
+    objective is a fresh quadrature at the final Q; the constraint counts as
+    attained when that objective is at most ATTAINED_RTOL times the area.
+
+    The basis must be M_mu-orthonormal, as solve_pencil returns it. Then
+    int w mu dA = sum_ab Q_ab (V^T M_mu V)_ab = tr Q, so the soft mass
+    constraint int w mu dA <= 1 + 1e-6 is enforced by rescaling Q by its
+    trace.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[1] == 0:
@@ -155,10 +157,7 @@ def select_frame(basis, mesh, density):
             t = t_next
     Q = q.reshape(m, m)
 
-    mu = density.values if isinstance(density, DensityField) else np.asarray(density, float)
-    Mmu = assemble_mass(mesh, mu).matrix
-    Gm = basis.T @ (Mmu @ basis)
-    mass_w = float(np.sum(Q * Gm))
+    mass_w = float(np.trace(Q))
     if mass_w > 1.0 + 1e-6:
         Q = Q / mass_w
     f = _objective(basis, mesh, Q)
@@ -173,13 +172,9 @@ def select_frame(basis, mesh, density):
         raise FrameError("coefficient matrix vanished")
     U = basis @ (P[:, keep] * np.sqrt(d[keep]))
     w = np.einsum("va,ab,vb->v", basis, Q, basis)
-    return SphereFrame(ell=int(keep.sum()), U=U, Q=Q, w=w,
-                       lam=float("nan"), objective=f, attained=attained,
-                       iterations=iterations, stop_reason=stop_reason)
-
-
-def with_eigenvalue(frame, lam):
-    return dataclasses.replace(frame, lam=float(lam))
+    return SphereFrame(ell=int(keep.sum()), U=U, Q=Q, w=w, objective=f,
+                       attained=attained, iterations=iterations,
+                       stop_reason=stop_reason)
 
 
 def harmonic_residual(mesh, frame, K, w_floor=1e-6):
@@ -216,12 +211,12 @@ def harmonic_residual(mesh, frame, K, w_floor=1e-6):
 
 
 def recover_density(mesh, frame):
-    """Raw density candidate: sum of squared gradients over the eigenvalue.
+    """Raw density candidate sum_i |grad u_i|^2, renormalized to unit mass.
 
-    Area-renormalized to unit mass; deliberately not box-clipped.
+    The extremality identity reads mu = sum_i |grad u_i|^2 / lambda_1, but
+    lambda_1 is one constant factor: the unit-mass renormalization divides it
+    out again, so the frame needs no eigenvalue. Deliberately not box-clipped.
     """
-    if not frame.lam > 0:
-        raise FrameError("frame carries no positive eigenvalue")
-    vert = gradient_field(mesh, frame.U)[1] / frame.lam
+    vert = gradient_field(mesh, frame.U)[1]
     vert /= mesh.vertex_areas @ vert
     return DensityField(mesh, vert)

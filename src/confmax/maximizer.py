@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 from .eigen import DEFAULT_REL_GAP, solve_pencil
 from .fem import (DensityField, assemble_mass, assemble_stiffness,
                   random_density, uniform_density)
-from .frame import recover_density, select_frame, with_eigenvalue
+from .frame import recover_density, select_frame
 
 
 COLLAPSE_RADII = (0.05, 0.1, 0.2)  # ball radii as fractions of the diameter
@@ -47,7 +47,6 @@ class AscentConfig:
     seed: int = 0
     k_eigen: int = 8
     rel_gap: float = DEFAULT_REL_GAP
-    eig_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.n_schedule or self.n_schedule[0] < 1.0:
@@ -127,12 +126,7 @@ def _solve(K, mesh, density, config, k):
     # block spans it. A line-search trial reads lambda_1 alone, so it asks for
     # k = 1 and stays clear of the slowly converging higher clusters.
     return solve_pencil(K, assemble_mass(mesh, density), k=k,
-                        tol=config.eig_tol, rel_gap=config.rel_gap, seed=config.seed)
-
-
-def _cluster_frame(mesh, mu, spectral):
-    lam_cluster = float(np.mean(spectral.eigenvalues[list(spectral.clusters[0])]))
-    return with_eigenvalue(select_frame(spectral.cluster_basis(0), mesh, mu), lam_cluster)
+                        rel_gap=config.rel_gap, seed=config.seed)
 
 
 def ascent_step(mesh, mu_k, config, K=None):
@@ -149,7 +143,7 @@ def ascent_step(mesh, mu_k, config, K=None):
         K = assemble_stiffness(mesh)
     floor, cap = mu_k.floor, mu_k.cap
     spectral = _solve(K, mesh, mu_k, config, config.k_eigen)
-    frame = _cluster_frame(mesh, mu_k, spectral)
+    frame = select_frame(spectral.cluster_basis(0), mesh)
     lam_k = spectral.lambda1
     nu = recover_density(mesh, frame)
 
@@ -289,7 +283,7 @@ def maximize(mesh, mu0, config=AscentConfig()):
         sat_constant = max(sat_constant, saturated_measure(mesh, mu) * cap)
 
     spectral = _solve(K, mesh, mu, config, config.k_eigen)
-    frame = _cluster_frame(mesh, mu, spectral)
+    frame = select_frame(spectral.cluster_basis(0), mesh)
     collapse = detect_collapse(mu, mesh)
     if collapse["flag"]:
         status = "collapse"

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from confmax.certify import (CenteringError, certificate, moebius_center,
-                             moebius_center_mesh, moebius_map, save_certificate,
+from confmax.certify import (certificate, moebius_map, save_certificate,
                              yang_yau_bound)
 from confmax.eigen import solve_pencil
 from confmax.fem import assemble_mass, assemble_stiffness, uniform_density
-from confmax.frame import select_frame, with_eigenvalue
+from confmax.frame import select_frame
 from confmax.maximizer import project_density
 from confmax.mesh import gen_flat_torus
 from conftest import EQUILATERAL
@@ -20,8 +19,7 @@ def _sphere_inputs(mesh):
     mu = project_density(mesh, uniform_density(mesh).values, 0.0, cap)
     K = assemble_stiffness(mesh)
     spectral = solve_pencil(K, assemble_mass(mesh, mu), k=8)
-    lam = float(np.mean(spectral.eigenvalues[list(spectral.clusters[0])]))
-    frame = with_eigenvalue(select_frame(spectral.cluster_basis(0), mesh, mu), lam)
+    frame = select_frame(spectral.cluster_basis(0), mesh)
     return mu, spectral, frame
 
 
@@ -55,8 +53,7 @@ def test_certificate_flat_equilateral_torus():
     cap = 4.0 / mesh.area
     mu = project_density(mesh, uniform_density(mesh).values, 0.0, cap)
     spectral = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh, mu), k=8)
-    lam = float(np.mean(spectral.eigenvalues[list(spectral.clusters[0])]))
-    frame = with_eigenvalue(select_frame(spectral.cluster_basis(0), mesh, mu), lam)
+    frame = select_frame(spectral.cluster_basis(0), mesh)
     cert = certificate(mesh, mu, spectral, frame, assemble_stiffness(mesh))
     assert cert["bounds"]["genus"] == 1
     assert cert["bounds"]["bound_value"] == pytest.approx(16 * math.pi)
@@ -111,33 +108,3 @@ def test_moebius_rejects_bad_parameter():
     with pytest.raises(ValueError):
         moebius_map(np.array([0.0, 0.0, 1.0]), x)
 
-
-def test_moebius_center_recovers_displacement():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((400, 3))
-    x /= np.linalg.norm(x, axis=1)[:, None]
-    e_true = np.array([0.2, 0.1, -0.3])
-    # push a symmetric cloud off-center, then ask for the centering parameter
-    y = moebius_map(e_true, x)
-    w = np.full(len(y), 1.0 / len(y))
-    e = moebius_center(w, y)
-    centered = moebius_map(e, y)
-    assert np.abs(w @ centered).max() < 1e-9
-
-
-def test_moebius_center_mesh_uniform(sphere3):
-    e = moebius_center_mesh(sphere3, uniform_density(sphere3))
-    assert np.linalg.norm(e) < 1e-8
-
-
-def test_moebius_center_atomic_measure_fails():
-    pts = np.tile([[0.0, 0.0, 1.0]], (5, 1))
-    w = np.full(5, 0.2)
-    with pytest.raises(CenteringError):
-        moebius_center(w, pts)
-
-
-def test_moebius_center_requires_unit_weights():
-    pts = np.eye(3)
-    with pytest.raises(ValueError):
-        moebius_center(np.ones(3), pts)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from confmax.eigen import solve_pencil
-from confmax.fem import assemble_mass, assemble_stiffness, uniform_density
+from confmax.fem import (assemble_mass, assemble_stiffness, random_density,
+                         uniform_density)
 from confmax.frame import (FrameError, SphereFrame, _moments, _objective,
                            _quadrature_points, harmonic_residual,
-                           recover_density, select_frame, with_eigenvalue)
+                           recover_density, select_frame)
 from confmax.maximizer import AscentConfig, maximize
 from confmax.mesh import gen_flat_torus, gen_icosphere
 from conftest import EQUILATERAL, tilted_density
@@ -24,8 +25,8 @@ def _first_cluster(mesh, k=9, seed=0, rel_gap=0.02):
 @pytest.fixture(scope="module", params=["icosphere:2", "equilateral torus n=8"])
 def lambda1_basis(request, sphere2):
     mesh = sphere2 if request.param == "icosphere:2" else gen_flat_torus(EQUILATERAL, 8, 8)
-    res, mu = _first_cluster(mesh, k=8)
-    return mesh, mu, res.cluster_basis(0)
+    res, _ = _first_cluster(mesh, k=8)
+    return mesh, res.cluster_basis(0)
 
 
 def _random_symmetric(m, seed):
@@ -59,7 +60,7 @@ def _exact_misfit(basis, mesh, Q):
 
 
 def test_moment_form_matches_quadrature(lambda1_basis):
-    mesh, _, basis = lambda1_basis
+    mesh, basis = lambda1_basis
     T, G = _moments(basis, mesh)
     for seed in range(3):
         Q = _random_symmetric(basis.shape[1], seed)
@@ -71,7 +72,7 @@ def test_moment_form_matches_quadrature(lambda1_basis):
 
 
 def test_moment_gradient_matches_finite_differences(lambda1_basis):
-    mesh, _, basis = lambda1_basis
+    mesh, basis = lambda1_basis
     T, G = _moments(basis, mesh)
     m = basis.shape[1]
     Q, E = _random_symmetric(m, 1), _random_symmetric(m, 2)
@@ -83,19 +84,17 @@ def test_moment_gradient_matches_finite_differences(lambda1_basis):
 
 @pytest.mark.filterwarnings("ignore:sphere constraint unattained")
 def test_reported_objective_is_exact_misfit(lambda1_basis):
-    mesh, mu, basis = lambda1_basis
-    frame = select_frame(basis, mesh, mu)
+    mesh, basis = lambda1_basis
+    frame = select_frame(basis, mesh)
     exact = _exact_misfit(basis, mesh, frame.Q)
     assert abs(frame.objective - exact) < 1e-12 * mesh.area
     assert frame.objective == _objective(basis, mesh, frame.Q)
 
 
 def test_stop_reason_converged_on_sphere(sphere2):
-    res, mu = _first_cluster(sphere2, k=8)
-    frame = select_frame(res.cluster_basis(0), sphere2, mu)
+    res, _ = _first_cluster(sphere2, k=8)
+    frame = select_frame(res.cluster_basis(0), sphere2)
     assert (frame.stop_reason, frame.iterations) == ("converged", 2)
-    carried = with_eigenvalue(frame, res.lambda1)
-    assert (carried.stop_reason, carried.iterations) == ("converged", 2)
     # c I with c from an Armijo projected-gradient run on the same cluster
     assert np.abs(frame.Q - 0.33331984000865 * np.eye(3)).max() < 1e-10
 
@@ -120,10 +119,10 @@ def test_stop_reason_criterion_on_merged_torus_cluster():
     # n=16 splits lambda1 4+2; a 15% gap merges the six into one cluster that
     # no PSD Q fits exactly, so the solve must end on a criterion at the optimum
     mesh = gen_flat_torus(EQUILATERAL, 16, 16)
-    res, mu = _first_cluster(mesh, k=8, rel_gap=0.15)
+    res, _ = _first_cluster(mesh, k=8, rel_gap=0.15)
     basis = res.cluster_basis(0)
     assert basis.shape[1] == 6
-    frame = select_frame(basis, mesh, mu)
+    frame = select_frame(basis, mesh)
     assert frame.stop_reason in ("converged", "stagnated")
     assert frame.iterations <= 400
     # f after 2000 Armijo projected-gradient steps
@@ -144,8 +143,8 @@ def test_tilted_sphere_frames_stop_early():
 
 
 def test_sphere_frame_recovers_coordinates(sphere4):
-    res, mu = _first_cluster(sphere4)
-    frame = select_frame(res.cluster_basis(0), sphere4, mu)
+    res, _ = _first_cluster(sphere4)
+    frame = select_frame(res.cluster_basis(0), sphere4)
     assert frame.ell == 3
     assert np.abs(frame.w - 1.0).max() < 2e-2
     # Q is a scaled identity in any M-orthonormal basis of the cluster
@@ -153,52 +152,82 @@ def test_sphere_frame_recovers_coordinates(sphere4):
 
 
 def test_single_sign_changing_eigenfunction_warns(sphere3):
-    res, mu = _first_cluster(sphere3)
+    res, _ = _first_cluster(sphere3)
     basis = res.eigenvectors[:, :1]
     with pytest.warns(RuntimeWarning, match="sphere constraint unattained"):
-        frame = select_frame(basis, sphere3, mu)
+        frame = select_frame(basis, sphere3)
     assert frame.objective > 1e-2
 
 
 def test_equilateral_torus_frame():
     mesh = gen_flat_torus(EQUILATERAL, 48, 48)
-    res, mu = _first_cluster(mesh, k=8)
+    res, _ = _first_cluster(mesh, k=8)
     basis = res.cluster_basis(0)
     assert basis.shape[1] == 6
-    frame = select_frame(basis, mesh, mu)
+    frame = select_frame(basis, mesh)
     assert np.abs(frame.w - 1.0).max() < 5e-2
 
 
 def test_empty_basis_rejected(sphere2):
     with pytest.raises(FrameError):
-        select_frame(np.empty((sphere2.vertex_count, 0)), sphere2,
-                     uniform_density(sphere2))
+        select_frame(np.empty((sphere2.vertex_count, 0)), sphere2)
 
 
 def test_objective_invariant_under_basis_rotation(sphere2):
-    res, mu = _first_cluster(sphere2, k=4)
+    res, _ = _first_cluster(sphere2, k=4)
     basis = res.cluster_basis(0)
-    f1 = select_frame(basis, sphere2, mu).objective
+    f1 = select_frame(basis, sphere2).objective
     rng = np.random.default_rng(5)
     R = np.linalg.qr(rng.standard_normal((basis.shape[1],) * 2))[0]
-    f2 = select_frame(basis @ R, sphere2, mu).objective
+    f2 = select_frame(basis @ R, sphere2).objective
     assert abs(f1 - f2) < 1e-10
 
 
-def test_frame_mass_constraint(sphere3):
-    res, mu = _first_cluster(sphere3)
-    frame = select_frame(res.cluster_basis(0), sphere3, mu)
-    M = assemble_mass(sphere3, mu).matrix
-    mass_w = sum(frame.U[:, i] @ (M @ frame.U[:, i]) for i in range(frame.ell))
-    assert mass_w <= 1.0 + 1e-5
+def _uniform(mesh):
+    return uniform_density(mesh).values
+
+
+def _zero_star(mesh):
+    # density killed on the star of vertex 0: solve_pencil Schur-reduces it
+    mu = _uniform(mesh).copy()
+    mu[np.unique(mesh.triangles[np.any(mesh.triangles == 0, axis=1)])] = 0.0
+    return mu
+
+
+def _signed(mesh):
+    mu = _uniform(mesh).copy()
+    mu[::7] *= -0.2
+    return mu
+
+
+MASS_CASES = {
+    "uniform": (lambda: gen_icosphere(3), _uniform, 9, 0.02),
+    "random": (lambda: gen_icosphere(3), lambda m: random_density(m, 1).values, 9, 0.02),
+    "zero-star": (lambda: gen_icosphere(3), _zero_star, 9, 0.02),
+    "signed": (lambda: gen_icosphere(3), _signed, 9, 0.02),
+    "merged-torus": (lambda: gen_flat_torus(EQUILATERAL, 16, 16), _uniform, 8, 0.15),
+}
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_frame_mass_constraint():
+    # select_frame reads the mass int w mu dA off tr Q, which is exact for the
+    # M_mu-orthonormal basis solve_pencil returns
+    for case, (make_mesh, make_mu, k, rel_gap) in MASS_CASES.items():
+        mesh = make_mesh()
+        M = assemble_mass(mesh, make_mu(mesh))
+        res = solve_pencil(assemble_stiffness(mesh), M, k=k, rel_gap=rel_gap)
+        frame = select_frame(res.cluster_basis(0), mesh)
+        mass_w = sum(frame.U[:, i] @ (M.matrix @ frame.U[:, i]) for i in range(frame.ell))
+        assert abs(mass_w - np.trace(frame.Q)) <= 1e-12, case
+        assert mass_w <= 1.0 + 1e-5, case
 
 
 def _identity_frame(mesh):
     # the identity map of the embedded round sphere, as a hand-built frame
     U = mesh.embedding / np.linalg.norm(mesh.embedding, axis=1)[:, None]
     w = np.einsum("vi,vi->v", U, U)
-    return SphereFrame(ell=3, U=U, Q=np.eye(3), w=w, lam=2.0 * mesh.area,
-                       objective=0.0, attained=True)
+    return SphereFrame(ell=3, U=U, Q=np.eye(3), w=w, objective=0.0, attained=True)
 
 
 def test_identity_map_is_harmonic():
@@ -219,20 +248,18 @@ def test_twisted_map_not_harmonic(sphere4):
     U = np.stack([np.cos(a) * X[:, 0] - np.sin(a) * X[:, 1],
                   np.sin(a) * X[:, 0] + np.cos(a) * X[:, 1],
                   X[:, 2]], axis=1)
-    frame = SphereFrame(3, U, np.eye(3), np.einsum("vi,vi->v", U, U),
-                        2.0 * sphere4.area, 0.0, True)
+    frame = SphereFrame(3, U, np.eye(3), np.einsum("vi,vi->v", U, U), 0.0, True)
     r = harmonic_residual(sphere4, frame, assemble_stiffness(sphere4))
     assert r["weak_residual"] > 0.3
 
 
 def test_harmonic_residual_rotation_invariant(sphere3):
-    res, mu = _first_cluster(sphere3)
-    frame = with_eigenvalue(select_frame(res.cluster_basis(0), sphere3, mu),
-                            res.lambda1)
+    res, _ = _first_cluster(sphere3)
+    frame = select_frame(res.cluster_basis(0), sphere3)
     r1 = harmonic_residual(sphere3, frame, assemble_stiffness(sphere3))["weak_residual"]
     rng = np.random.default_rng(11)
     R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    rotated = SphereFrame(frame.ell, frame.U @ R, frame.Q, frame.w, frame.lam,
+    rotated = SphereFrame(frame.ell, frame.U @ R, frame.Q, frame.w,
                           frame.objective, frame.attained)
     r2 = harmonic_residual(sphere3, rotated, assemble_stiffness(sphere3))["weak_residual"]
     assert abs(r1 - r2) < 1e-10
@@ -241,15 +268,14 @@ def test_harmonic_residual_rotation_invariant(sphere3):
 def test_degenerate_map_rejected(sphere2):
     U = np.zeros((sphere2.vertex_count, 1))
     U[0, 0] = 1.0
-    frame = SphereFrame(1, U, np.eye(1), U[:, 0] ** 2, 1.0, 1.0, False)
+    frame = SphereFrame(1, U, np.eye(1), U[:, 0] ** 2, 1.0, False)
     with pytest.raises(FrameError, match="degenerate"):
         harmonic_residual(sphere2, frame, assemble_stiffness(sphere2))
 
 
 def test_recover_density_sphere(sphere4):
     res, mu = _first_cluster(sphere4)
-    frame = with_eigenvalue(select_frame(res.cluster_basis(0), sphere4, mu),
-                            float(np.mean(res.eigenvalues[:3])))
+    frame = select_frame(res.cluster_basis(0), sphere4)
     nu = recover_density(sphere4, frame)
     l1 = sphere4.vertex_areas @ np.abs(nu.values - mu.values)
     assert l1 < 2e-2
@@ -259,14 +285,8 @@ def test_recover_density_single_eigenfunction(sphere3):
     res, mu = _first_cluster(sphere3)
     basis = res.cluster_basis(0)[:, :1]
     with pytest.warns(RuntimeWarning):
-        frame = with_eigenvalue(select_frame(basis, sphere3, mu), res.lambda1)
+        frame = select_frame(basis, sphere3)
     nu = recover_density(sphere3, frame)
     l1 = sphere3.vertex_areas @ np.abs(nu.values - mu.values)
     assert l1 > 0.1  # |grad z|^2 = 1 - z^2 is far from constant
 
-
-def test_recover_requires_positive_eigenvalue(sphere2):
-    res, mu = _first_cluster(sphere2, k=4)
-    frame = select_frame(res.cluster_basis(0), sphere2, mu)  # lam = nan
-    with pytest.raises(FrameError):
-        recover_density(sphere2, frame)
