@@ -202,9 +202,9 @@ def property_checks(seed=0):
 def monotonicity_check(trace, name, lam_tol=1e-7):
     lams = [r.lambda1_area for r in trace.rows]
     ok = all(b >= a * (1.0 - 10 * lam_tol) for a, b in zip(lams, lams[1:]))
-    worst = min((b - a) / a for a, b in zip(lams, lams[1:])) if len(lams) > 1 else 0.0
+    worst = min(b - a for a, b in zip(lams, lams[1:])) if len(lams) > 1 else 0.0
     return _result(f"{name} accepted-step monotonicity", ok, worst,
-                   "non-decreasing within tolerance", f"min relative step {worst:.2e}")
+                   "non-decreasing within tolerance", f"min step {worst:.2e}")
 
 
 def saturation_check(trace, name):

@@ -2,7 +2,7 @@
 
 Shift-invert Lanczos (ARPACK) with the constant mode removed by explicit
 projection against the M-weighted constant, never by pinning a vertex. One
-sparse LU of K - sigma M per solve serves both Lanczos passes and the retries.
+sparse LU of K - sigma M per solve serves both Lanczos passes.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ class IndefiniteMassError(EigenError):
 
 
 DEFAULT_REL_GAP = 0.02
+LANCZOS_TOL = 1e-10  # ARPACK relative accuracy of each Ritz value
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def _schur_reduce(K, support, excluded):
     return sparse.csr_matrix(Kss - sparse.csr_matrix(correction))
 
 
-def solve_pencil(K, M, k, tol=1e-10, rel_gap=DEFAULT_REL_GAP, seed=0):
+def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
     """k smallest eigenpairs of K u = lambda M u above the deflated zero mode.
 
     K is a StiffnessMatrix and M a MassMatrix.
@@ -118,40 +119,37 @@ def solve_pencil(K, M, k, tol=1e-10, rel_gap=DEFAULT_REL_GAP, seed=0):
     # Two Lanczos passes with independent start vectors, merged by
     # Rayleigh-Ritz: single-vector Lanczos can return an incomplete basis of
     # a degenerate eigenvalue, and the mesh symmetries here produce exact
-    # multiplicities routinely. Both passes and every retry share the LU.
-    want = k + 1  # room for the zero mode
-    lam = vec = None
-    for attempt in range(3):
-        blocks = []
-        for _ in range(2):
-            v0 = rng.standard_normal(n)
-            try:
-                _, bvec = eigsh(Ksub, k=min(want, n - 1), M=Msub, sigma=sigma,
-                                which="LM", v0=v0, tol=tol, maxiter=10000,
-                                OPinv=OPinv)
-            except Exception as exc:  # ARPACK non-convergence
-                raise EigenError(f"pencil solve failed: {exc}") from exc
-            blocks.append(bvec)
-        U = np.hstack(blocks)
-        # deflate the constant component exactly, then M-orthonormalize with
-        # a rank cutoff (the two passes largely duplicate each other)
-        ones = np.ones(n)
-        Mones = Msub @ ones
-        U = U - np.outer(ones, (Mones @ U) / (ones @ Mones))
-        G = U.T @ (Msub @ U)
-        w, P = np.linalg.eigh(G)
-        keep_dirs = w > 1e-8 * w.max()
-        U = U @ (P[:, keep_dirs] / np.sqrt(w[keep_dirs]))
-        # Rayleigh-Ritz on the merged subspace
-        ritz, C = np.linalg.eigh(U.T @ (Ksub @ U))
-        U = U @ C
-        pos = ritz > max(abs(ritz[-1]), scale) * 1e-10
-        if pos.sum() >= k:
-            lam, vec = ritz[pos][:k], U[:, pos][:, :k]
-            break
-        want += 2
-    else:
+    # multiplicities routinely. Both passes share the LU. A retry with more
+    # vectors cannot help: a pass of k + 1 vectors keeps at least k directions
+    # off the constant after exact deflation, and for n - 1 < k + 1 the block
+    # is already capped.
+    blocks = []
+    for _ in range(2):
+        v0 = rng.standard_normal(n)
+        try:
+            _, bvec = eigsh(Ksub, k=min(k + 1, n - 1), M=Msub, sigma=sigma,
+                            which="LM", v0=v0, tol=LANCZOS_TOL, maxiter=10000,
+                            OPinv=OPinv)
+        except Exception as exc:  # ARPACK non-convergence
+            raise EigenError(f"pencil solve failed: {exc}") from exc
+        blocks.append(bvec)
+    U = np.hstack(blocks)
+    # deflate the constant component exactly, then M-orthonormalize with
+    # a rank cutoff (the two passes largely duplicate each other)
+    ones = np.ones(n)
+    Mones = Msub @ ones
+    U = U - np.outer(ones, (Mones @ U) / (ones @ Mones))
+    G = U.T @ (Msub @ U)
+    w, P = np.linalg.eigh(G)
+    keep_dirs = w > 1e-8 * w.max()
+    U = U @ (P[:, keep_dirs] / np.sqrt(w[keep_dirs]))
+    # Rayleigh-Ritz on the merged subspace
+    ritz, C = np.linalg.eigh(U.T @ (Ksub @ U))
+    U = U @ C
+    pos = ritz > max(abs(ritz[-1]), scale) * 1e-10
+    if pos.sum() < k:
         raise EigenError("could not separate the zero mode from the spectrum")
+    lam, vec = ritz[pos][:k], U[:, pos][:, :k]
 
     Kv = Ksub @ vec
     Mv = Msub @ vec

@@ -49,21 +49,16 @@ class DensityField:
         return float(self.mesh.vertex_areas @ self.values)
 
 
-def density_mass(mesh, values):
-    """Exact P1 integral of a raw per-vertex field."""
-    return float(mesh.vertex_areas @ np.asarray(values, dtype=float))
-
-
 def uniform_density(mesh, floor=None, cap=None):
     return DensityField(mesh, np.full(mesh.vertex_count, 1.0 / mesh.area), floor, cap)
 
 
-def random_density(mesh, seed, lo=0.5, hi=1.5, floor=None, cap=None):
-    """Random density, values in [lo, hi]/A before mass renormalization."""
+def random_density(mesh, seed):
+    """Random density, values in [0.5, 1.5]/A before mass renormalization."""
     rng = np.random.default_rng(seed)
-    vals = rng.uniform(lo, hi, mesh.vertex_count) / mesh.area
-    vals /= density_mass(mesh, vals)
-    return DensityField(mesh, vals, floor, cap)
+    vals = rng.uniform(0.5, 1.5, mesh.vertex_count) / mesh.area
+    vals /= mesh.vertex_areas @ vals
+    return DensityField(mesh, vals)
 
 
 @dataclass(frozen=True)
@@ -170,4 +165,4 @@ def gradient_field(mesh, U):
 def export_matrix_market(matrix, path):
     """Dump a sparse matrix as a MatrixMarket coordinate file."""
     from scipy.io import mmwrite
-    mmwrite(str(path), matrix if sparse.issparse(matrix) else matrix.matrix)
+    mmwrite(str(path), matrix)

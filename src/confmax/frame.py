@@ -38,6 +38,7 @@ MAX_ITERS = 2000        # projected steps before select_frame gives up
 CONVERGED_RTOL = 1e-9   # gradient-mapping stop, relative to ||2 G||
 STAGNATED_RTOL = 1e-15  # stop when a plain step lowers f by less than this * f
 ATTAINED_RTOL = 1e-3    # sphere constraint attained: final f <= this * area
+DEGENERATE_W_REL = 1e-6  # harmonic_residual: w at or below this * max(w, 1) is degenerate
 
 
 class FrameError(RuntimeError):
@@ -177,7 +178,7 @@ def select_frame(basis, mesh):
                        stop_reason=stop_reason)
 
 
-def harmonic_residual(mesh, frame, K, w_floor=1e-6):
+def harmonic_residual(mesh, frame, K):
     """Discrete tension-field test of the normalized map phi / sqrt(w).
 
     K is the mesh's StiffnessMatrix.
@@ -188,7 +189,7 @@ def harmonic_residual(mesh, frame, K, w_floor=1e-6):
     sum_i u_i (-Delta u_i) = sum_i |grad u_i|^2 in L^1.
     """
     w = frame.w
-    degenerate = w <= w_floor * max(w.max(), 1.0)
+    degenerate = w <= DEGENERATE_W_REL * max(w.max(), 1.0)
     if degenerate.mean() > 0.01:
         raise FrameError("map degenerate: w = 0 on more than 1% of vertices")
     good = ~degenerate

@@ -10,7 +10,6 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -87,9 +86,13 @@ class AscentTrace:
 def project_density(mesh, values, floor, cap):
     """Project onto the box [floor, cap] intersected with the unit-mass slice.
 
-    Alternating box clip and scalar shift; the mass is piecewise linear and
-    monotone in the shift, so a bracketed root plus linear polish converges
-    to 1e-12 within a few passes.
+    The result is clip(v + c, floor, cap) with sum_i a_i clip(v_i + c, ...) = 1.
+    That mass is piecewise linear and non-decreasing in the shift c, with knots
+    at floor - v_i and cap - v_i; c is solved exactly on the segment of the
+    sorted knots where it crosses 1 (a breakpoint search, as for the continuous
+    quadratic knapsack). A zero-slope segment gives its end, so a box holding
+    exactly unit mass returns its bound. Raising a cap no value reaches changes
+    no bit: its knots all lie past the crossing.
     """
     values = np.asarray(values, dtype=float)
     a = mesh.vertex_areas
@@ -98,26 +101,14 @@ def project_density(mesh, values, floor, cap):
     if floor * a.sum() > 1.0 + 1e-12:
         raise ProjectionError("floor too large: box cannot carry unit mass")
 
-    def mass_of(c):
-        return a @ np.clip(values + c, floor, cap) - 1.0
-
-    lo = float(np.min(floor - values)) - 1.0
-    hi = float(np.max(cap - values)) + 1.0
-    c = brentq(mass_of, lo, hi, xtol=1e-14)
-    out = np.clip(values + c, floor, cap)
-    for _ in range(50):
-        gap = 1.0 - a @ out
-        if abs(gap) <= 1e-12:
-            break
-        free = (out > floor) & (out < cap)
-        wfree = a[free].sum()
-        if wfree == 0:
-            raise ProjectionError(f"projection stalled; mass residual {gap}")
-        out[free] += gap / wfree
-        out = np.clip(out, floor, cap)
-    else:
-        raise ProjectionError(f"projection did not reach mass tolerance: {gap}")
-    return DensityField(mesh, out, floor, cap)
+    knots = np.concatenate([floor - values, cap - values])
+    order = np.argsort(knots, kind="stable")
+    knots = knots[order]
+    slope = np.cumsum(np.concatenate([a, -a])[order])[:-1]  # on [knots[j], knots[j + 1]]
+    mass = floor * a.sum() + np.concatenate([[0.0], np.cumsum(slope * np.diff(knots))])
+    j = min(max(int(np.searchsorted(mass, 1.0, side="right")) - 1, 0), slope.size - 1)
+    c = knots[j] + (1.0 - mass[j]) / slope[j] if slope[j] > 0 else knots[j + 1]
+    return DensityField(mesh, np.clip(values + c, floor, cap), floor, cap)
 
 
 def _solve(K, mesh, density, config, k):
@@ -230,11 +221,11 @@ def maximize(mesh, mu0, config=AscentConfig()):
     until a step is rejected or lambda stops moving. Once a stage ends on a
     rejected step none of whose trials reached the cap, every later stage only
     re-projects mu and runs no iterations; its N goes to trace.skipped_stages.
-    This is exact: no trial was clipped at the cap and the floor is fixed, so a
-    larger cap gives the same trial projections, the stage would repeat the
-    same rejected step, and by induction so would every later one. A skipped
-    stage inherits the ending of the stage it repeats, so any status that
-    describes how a stage ended applies to it unchanged.
+    This is exact to the bit: no trial was clipped at the cap and the floor is
+    fixed, so a larger cap gives bitwise the same trial projections, the stage
+    would repeat the same rejected step, and by induction so would every later
+    one. A skipped stage inherits the ending of the stage it repeats, so any
+    status that describes how a stage ended applies to it unchanged.
     """
     from .certify import certificate  # local import: certify depends on this module
 

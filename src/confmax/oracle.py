@@ -13,6 +13,8 @@ import numpy as np
 from scipy.linalg import eigh
 
 _EIGS = 13  # eigenpairs computed per step, the constant mode included
+_CAP = 64.0  # density cap; the unit-area torus has mean density 1
+_ITERS = 300  # ascent steps per restart at most
 
 
 class _Grid:
@@ -89,20 +91,19 @@ def _lambda_and_grad(K, M, areas, cluster_gap=0.02):
     return lam, -lam * areas * np.mean(vecs[:, 1:1 + count] ** 2, axis=1)
 
 
-def brute_force_torus_max(n=12, cap_rel=64.0, restarts=20, iters=300, seed=0):
+def brute_force_torus_max(n=12, restarts=20, seed=0):
     """Best lambda1 * area over the box-and-mass set, by restarted ascent."""
     rng = np.random.default_rng(seed)
     grid = _Grid(n)
     K = grid.stiffness()
     areas = _vertex_areas(n)
-    cap = cap_rel  # unit-area torus: mean density is 1
     best = -np.inf
     for _ in range(restarts):
-        mu = _project(rng.uniform(0.5, 1.5, n * n), areas, cap)
+        mu = _project(rng.uniform(0.5, 1.5, n * n), areas, _CAP)
         lam, grad = _lambda_and_grad(K, grid.mass(mu), areas)
         alpha = 0.1 / max(np.abs(grad).max(), 1e-12)
-        for _ in range(iters):
-            cand = _project(mu + alpha * grad, areas, cap)
+        for _ in range(_ITERS):
+            cand = _project(mu + alpha * grad, areas, _CAP)
             lam_c, grad_c = _lambda_and_grad(K, grid.mass(cand), areas)
             if lam_c > lam:
                 mu, lam, grad = cand, lam_c, grad_c

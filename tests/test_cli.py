@@ -82,6 +82,14 @@ def test_maximize_density_roundtrip(tmp_path):
     assert rc == 0
 
 
+def test_maximize_schedule_from_the_mean_density(tmp_path):
+    out = tmp_path / "run"
+    rc = main(["maximize", "--gen", "icosphere:3", "--out", str(out),
+               "--n-schedule", "1,4"])
+    assert rc == 0
+    assert json.loads((out / "final.json").read_text())["status"] == "converged"
+
+
 def test_maximize_negative_floor(tmp_path):
     out = tmp_path / "run"
     rc = main(["maximize", "--gen", "icosphere:2", "--out", str(out),

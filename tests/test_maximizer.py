@@ -52,6 +52,33 @@ def test_projection_infeasible_box(sphere2):
                         0.0, 0.5 / sphere2.area)
 
 
+@pytest.mark.parametrize("floor", [0.0, -0.5])
+def test_projection_at_unit_cap_is_uniform(sphere3, floor):
+    # a cap of 1/A carries exactly unit mass: the box holds one density
+    A = sphere3.area
+    mu = project_density(sphere3, random_density(sphere3, 7).values, floor / A, 1.0 / A)
+    assert np.abs(mu.values - 1.0 / A).max() <= 1e-12
+
+
+@pytest.mark.parametrize("floor", [0.0, -0.5])
+def test_projection_unchanged_by_a_cap_it_does_not_reach(sphere3, floor):
+    A = sphere3.area
+    for seed in range(5):
+        vals = 3.0 * random_density(sphere3, seed).values - 1.5 / A
+        low = project_density(sphere3, vals, floor / A, 16.0 / A)
+        assert low.values.max() < 16.0 / A
+        high = project_density(sphere3, vals, floor / A, 64.0 / A)
+        assert np.array_equal(high.values, low.values)
+
+
+def test_schedule_may_start_at_the_mean_density(sphere3):
+    _, spectral, _, trace = maximize(sphere3, "random:0",
+                                     AscentConfig(n_schedule=(1.0, 4.0)))
+    assert trace.status == "converged"
+    assert {r.N for r in trace.rows} == {1.0, 4.0}
+    assert spectral.lambda1 == pytest.approx(8 * math.pi, rel=1e-2)
+
+
 def test_uniform_sphere_is_fixed_point(sphere3):
     cfg = AscentConfig()
     cap = cfg.n_schedule[0] / sphere3.area
