@@ -2,7 +2,10 @@
 
 Shift-invert Lanczos (ARPACK) with the constant mode removed by explicit
 projection against the M-weighted constant, never by pinning a vertex. One
-sparse LU of K - sigma M per solve serves both Lanczos passes.
+sparse LU of K - sigma M per solve serves both Lanczos passes. The shift
+sigma = -1/mass is -1 in units of the scale-invariant lambda * mass (25-46
+here) and maps the zero mode to 1/|sigma|, so Lanczos work depends on neither
+the mesh size nor the density's scale.
 """
 from __future__ import annotations
 
@@ -106,8 +109,7 @@ def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
         Ksub, Msub = Kmat, Mmat
 
     n = Ksub.shape[0]
-    scale = Ksub.diagonal().sum() / Msub.diagonal().sum()
-    sigma = -1e-2 * scale
+    sigma = -1.0 / Msub.sum()  # -1 in units of the scale-free lambda * mass
     rng = np.random.default_rng(seed)
     try:
         # the CSC matrix eigsh factors itself (symmetric CSR, transposed)
@@ -119,10 +121,8 @@ def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
     # Two Lanczos passes with independent start vectors, merged by
     # Rayleigh-Ritz: single-vector Lanczos can return an incomplete basis of
     # a degenerate eigenvalue, and the mesh symmetries here produce exact
-    # multiplicities routinely. Both passes share the LU. A retry with more
-    # vectors cannot help: a pass of k + 1 vectors keeps at least k directions
-    # off the constant after exact deflation, and for n - 1 < k + 1 the block
-    # is already capped.
+    # multiplicities routinely. Both passes share the LU. More vectors cannot
+    # help: k + 1 keep k directions off the constant after exact deflation.
     blocks = []
     for _ in range(2):
         v0 = rng.standard_normal(n)
@@ -146,7 +146,7 @@ def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
     # Rayleigh-Ritz on the merged subspace
     ritz, C = np.linalg.eigh(U.T @ (Ksub @ U))
     U = U @ C
-    pos = ritz > max(abs(ritz[-1]), scale) * 1e-10
+    pos = ritz > abs(ritz[-1]) * 1e-10
     if pos.sum() < k:
         raise EigenError("could not separate the zero mode from the spectrum")
     lam, vec = ritz[pos][:k], U[:, pos][:, :k]

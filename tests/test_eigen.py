@@ -7,7 +7,7 @@ import confmax.eigen
 from confmax.eigen import (EigenError, IndefiniteMassError, cluster_eigenvalues,
                            solve_pencil, spectrum_rows)
 from confmax.fem import assemble_mass, assemble_stiffness, random_density, uniform_density
-from confmax.mesh import gen_flat_torus
+from confmax.mesh import gen_flat_torus, gen_icosphere
 from conftest import SQUARE, tilted_density
 
 
@@ -74,7 +74,6 @@ def test_density_scaling_rescales_eigenvalues(sphere2):
 
 
 def test_mesh_convergence_order():
-    from confmax.mesh import gen_icosphere
     errs = []
     for s in (3, 4, 5):
         res, _, _ = _solve_uniform(gen_icosphere(s), 3)
@@ -119,6 +118,50 @@ def test_one_factorization_serves_both_passes(sphere2, monkeypatch):
     monkeypatch.setattr(confmax.eigen, "eigsh", counting_eigsh)
     _solve_uniform(sphere2, 8)
     assert calls == {"splu": 1, "eigsh": [True, True]}
+
+
+def _count_lu_solves(monkeypatch):
+    """Count operator applications: calls to solve of every factor built."""
+    count = [0]
+    splu = confmax.eigen.splu
+
+    class Counting:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            count[0] += 1
+            return self.lu.solve(rhs)
+    monkeypatch.setattr(confmax.eigen, "splu", lambda *a, **kw: Counting(splu(*a, **kw)))
+    return count
+
+
+@pytest.mark.parametrize("k", [8, 1])
+def test_lanczos_work_is_mesh_independent(k, sphere4, monkeypatch):
+    # the shift sits at -1 in units of lambda * mass on every mesh, so the
+    # shift-inverted spectrum, and with it the Lanczos work, does not grow with V
+    count = _count_lu_solves(monkeypatch)
+    applications = []
+    for mesh in (sphere4, gen_icosphere(5)):
+        count[0] = 0
+        solve_pencil(assemble_stiffness(mesh),
+                     assemble_mass(mesh, random_density(mesh, 0)), k=k)
+        applications.append(count[0])
+    assert applications[1] <= 1.5 * applications[0]
+
+
+@pytest.mark.parametrize("k", [8, 1])
+def test_density_scale_changes_neither_spectrum_nor_work(k, sphere3, monkeypatch):
+    K = assemble_stiffness(sphere3)
+    mu = random_density(sphere3, 0).values
+    count = _count_lu_solves(monkeypatch)
+    unit = solve_pencil(K, assemble_mass(sphere3, mu), k=k)
+    unit_count = count[0]
+    count[0] = 0
+    heavy = solve_pencil(K, assemble_mass(sphere3, 1000.0 * mu), k=k)
+    assert np.abs(heavy.eigenvalues * 1e3 - unit.eigenvalues).max() \
+        <= 1e-12 * unit.eigenvalues.max()
+    assert count[0] == unit_count
 
 
 @pytest.mark.parametrize("density", ["uniform", "random"])

@@ -12,8 +12,8 @@ from confmax.maximizer import (AscentConfig, ProjectionError, ascent_step,
                                detect_collapse, make_initial_density, maximize,
                                negative_measure, project_density,
                                saturated_measure, trace_csv_rows)
-from confmax.mesh import gen_icosphere
-from conftest import tilted_density
+from confmax.mesh import gen_flat_torus, gen_icosphere
+from conftest import EQUILATERAL, tilted_density
 
 
 def test_config_validation():
@@ -148,6 +148,27 @@ def test_tilted_sphere_path(monkeypatch):
     assert [row.step for row in trace.rows] == [0.25] + [0.5] * 11 + [0.0]
     assert [row.trials for row in trace.rows] == [2] + [1] * 11 + [7]
     assert trace.skipped_stages == [16.0, 64.0]
+
+
+def test_lambda1_trials_agree_with_leading_block_at_a_tie(monkeypatch):
+    # from uniform on the equilateral torus, lambda_1 is 4-fold and the trials
+    # split it at round-off; a k=1 trial must still land within the safeguard
+    # slack (1e-12) of the block solve it stands in for
+    trials = []
+    solve = confmax.maximizer.solve_pencil
+
+    def recording(K, M, k, **kwargs):
+        res = solve(K, M, k, **kwargs)
+        if k == 1:
+            trials.append((K, M, kwargs, res.lambda1))
+        return res
+    monkeypatch.setattr(confmax.maximizer, "solve_pencil", recording)
+    mesh = gen_flat_torus(EQUILATERAL, 48, 48)
+    maximize(mesh, uniform_density(mesh), AscentConfig())
+    assert trials
+    for K, M, kwargs, lam in trials:
+        block = solve(K, M, 8, **kwargs).lambda1
+        assert abs(lam - block) <= 1e-12 * block
 
 
 def _tilted_sphere_run(n_schedule):
