@@ -89,7 +89,7 @@ def _build_mesh(gen, mesh_path):
     raise MeshError("a mesh source is required (--gen or --mesh)")
 
 
-def _density_init(spec, mesh):
+def _density_init(spec):
     if spec in ("uniform",) or spec.startswith("random"):
         return spec
     # otherwise a file containing a JSON array or intrinsic-JSON with "density"
@@ -120,7 +120,7 @@ def cmd_spectrum(args, cfg):
     config = _ascent_config(args, cfg)
     floor = config.floor / mesh.area
     cap = config.n_schedule[-1] / mesh.area
-    init = _density_init(str(_resolve(args, cfg, "density")), mesh)
+    init = _density_init(str(_resolve(args, cfg, "density")))
     mu = make_initial_density(mesh, init, floor, cap, seed=config.seed)
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh, mu)
@@ -148,7 +148,7 @@ def cmd_spectrum(args, cfg):
 def cmd_maximize(args, cfg):
     mesh = _build_mesh(args.gen or cfg.get("gen"), args.mesh or cfg.get("mesh"))
     config = _ascent_config(args, cfg)
-    init = _density_init(str(_resolve(args, cfg, "density")), mesh)
+    init = _density_init(str(_resolve(args, cfg, "density")))
     mu, spectral, frame, trace = maximize(mesh, init, config)
     out = Path(_resolve(args, cfg, "out"))
     out.mkdir(parents=True, exist_ok=True)

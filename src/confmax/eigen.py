@@ -6,13 +6,19 @@ sparse LU of K - sigma M per solve serves both Lanczos passes. The shift
 sigma = -1/mass is -1 in units of the scale-invariant lambda * mass (25-46
 here) and maps the zero mode to 1/|sigma|, so Lanczos work depends on neither
 the mesh size nor the density's scale.
+
+Vertices where the density vanishes stay in the pencil. Their rows of M are
+zero, so M is only positive semidefinite, which shift-invert Lanczos allows:
+K - sigma M is positive definite for any such M of positive mass, and every
+Lanczos vector lies in the range of (K - sigma M)^{-1} M, which forces
+(K u)_e = 0 on a zero-mass row e. The eigenvectors are therefore harmonic
+there, the weak form of -Delta u = lambda mu u where mu = 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 
@@ -36,10 +42,9 @@ class SpectralResult:
     scale-invariant product (first eigenvalue) x (conformal area).
     """
     eigenvalues: np.ndarray          # (k,) ascending, positive
-    eigenvectors: np.ndarray         # (V, k), M-orthonormal, zero where excluded
+    eigenvectors: np.ndarray         # (V, k), M-orthonormal
     residuals: np.ndarray            # (k,) relative residuals
     clusters: tuple                  # partition of range(k) by relative gap
-    excluded_vertices: tuple = ()    # support restriction (zero mass rows)
 
     @property
     def lambda1(self):
@@ -77,15 +82,6 @@ def _check_inertia(M):
             "indefinite mass; reduce negative density or use floor=0")
 
 
-def _schur_reduce(K, support, excluded):
-    """Eliminate zero-mass vertices: K_ss - K_se K_ee^{-1} K_es."""
-    Kss = K[np.ix_(support, support)]
-    Kse = K[np.ix_(support, excluded)]
-    lu = splu(K[np.ix_(excluded, excluded)].tocsc())
-    correction = Kse @ lu.solve(Kse.T.toarray())
-    return sparse.csr_matrix(Kss - sparse.csr_matrix(correction))
-
-
 def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
     """k smallest eigenpairs of K u = lambda M u above the deflated zero mode.
 
@@ -94,26 +90,16 @@ def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
     if k < 1:
         raise ValueError("k must be >= 1")
     Kmat, Mmat = K.matrix, M.matrix
-    V = Kmat.shape[0]
+    n = Kmat.shape[0]
 
     if not M.psd_blocks:
         _check_inertia(Mmat)
 
-    mdiag = np.asarray(Mmat.diagonal())
-    excluded = np.nonzero(np.abs(mdiag) <= 1e-14 * np.abs(mdiag).max())[0]
-    support = np.setdiff1d(np.arange(V), excluded)
-    if excluded.size:
-        Ksub = _schur_reduce(Kmat.tocsr(), support, excluded)
-        Msub = Mmat.tocsr()[np.ix_(support, support)]
-    else:
-        Ksub, Msub = Kmat, Mmat
-
-    n = Ksub.shape[0]
-    sigma = -1.0 / Msub.sum()  # -1 in units of the scale-free lambda * mass
+    sigma = -1.0 / Mmat.sum()  # -1 in units of the scale-free lambda * mass
     rng = np.random.default_rng(seed)
     try:
         # the CSC matrix eigsh factors itself (symmetric CSR, transposed)
-        lu = splu((Ksub - sigma * Msub).tocsr().T)
+        lu = splu((Kmat - sigma * Mmat).tocsr().T)
     except Exception as exc:  # singular factor
         raise EigenError(f"pencil solve failed: {exc}") from exc
     OPinv = LinearOperator((n, n), matvec=lu.solve)
@@ -127,7 +113,7 @@ def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
     for _ in range(2):
         v0 = rng.standard_normal(n)
         try:
-            _, bvec = eigsh(Ksub, k=min(k + 1, n - 1), M=Msub, sigma=sigma,
+            _, bvec = eigsh(Kmat, k=min(k + 1, n - 1), M=Mmat, sigma=sigma,
                             which="LM", v0=v0, tol=LANCZOS_TOL, maxiter=10000,
                             OPinv=OPinv)
         except Exception as exc:  # ARPACK non-convergence
@@ -137,37 +123,31 @@ def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
     # deflate the constant component exactly, then M-orthonormalize with
     # a rank cutoff (the two passes largely duplicate each other)
     ones = np.ones(n)
-    Mones = Msub @ ones
+    Mones = Mmat @ ones
     U = U - np.outer(ones, (Mones @ U) / (ones @ Mones))
-    G = U.T @ (Msub @ U)
+    G = U.T @ (Mmat @ U)
     w, P = np.linalg.eigh(G)
     keep_dirs = w > 1e-8 * w.max()
     U = U @ (P[:, keep_dirs] / np.sqrt(w[keep_dirs]))
     # Rayleigh-Ritz on the merged subspace
-    ritz, C = np.linalg.eigh(U.T @ (Ksub @ U))
+    ritz, C = np.linalg.eigh(U.T @ (Kmat @ U))
     U = U @ C
     pos = ritz > abs(ritz[-1]) * 1e-10
     if pos.sum() < k:
         raise EigenError("could not separate the zero mode from the spectrum")
     lam, vec = ritz[pos][:k], U[:, pos][:, :k]
 
-    Kv = Ksub @ vec
-    Mv = Msub @ vec
+    Kv = Kmat @ vec
+    Mv = Mmat @ vec
     res = np.linalg.norm(Kv - Mv * lam, axis=0) / np.linalg.norm(Kv, axis=0)
     # refresh Rayleigh quotients after projection
     lam = np.einsum("ij,ij->j", vec, Kv) / np.einsum("ij,ij->j", vec, Mv)
-
-    if excluded.size:
-        full = np.zeros((V, vec.shape[1]))
-        full[support] = vec
-        vec = full
 
     return SpectralResult(
         eigenvalues=lam,
         eigenvectors=vec,
         residuals=res,
         clusters=cluster_eigenvalues(lam, rel_gap),
-        excluded_vertices=tuple(int(i) for i in excluded),
     )
 
 

@@ -103,9 +103,6 @@ class TriangleMesh:
         self.edges = np.stack(np.divmod(edge_key, V), axis=1)
         self.triangle_edges = inverse.reshape(-1, 3)
 
-        if isinstance(edge_lengths, dict):
-            edge_lengths = np.column_stack([np.reshape(list(edge_lengths), (-1, 2)),
-                                            list(edge_lengths.values())])
         rows = np.asarray(edge_lengths, dtype=float).reshape(-1, 3)
         lo, hi = np.sort(rows[:, :2].astype(np.int64), axis=1).T
         key = lo * V + hi
@@ -326,34 +323,27 @@ def _parse_obj(text, path):
     return np.array(verts, dtype=float), np.array(faces, dtype=np.int64)
 
 
-def load_mesh(path, format=None):
-    """Load OFF, OBJ or intrinsic-JSON. Format inferred from suffix if omitted."""
+def load_mesh(path):
+    """Load OFF, OBJ or intrinsic-JSON, the format given by the file's suffix."""
     path = Path(path)
     if not path.exists():
         raise MeshError(f"no such file: {path}")
-    if format is None:
-        format = {".off": "OFF", ".obj": "OBJ", ".json": "intrinsic-JSON"}.get(
-            path.suffix.lower())
-        if format is None:
-            raise MeshError(f"cannot infer format from suffix of {path}")
+    suffix = path.suffix.lower()
+    if suffix not in (".off", ".obj", ".json"):
+        raise MeshError(f"cannot infer format from suffix of {path}")
     text = path.read_text()
-    if format == "OFF":
-        verts, faces = _parse_off(text, path)
-        return TriangleMesh.from_embedding(verts, faces)
-    if format == "OBJ":
-        verts, faces = _parse_obj(text, path)
-        return TriangleMesh.from_embedding(verts, faces)
-    if format == "intrinsic-JSON":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MeshError(f"{path}: JSON parse failure: {exc}") from exc
-        for key in ("vertices", "triangles", "edge_lengths"):
-            if key not in data:
-                raise MeshError(f"{path}: missing field '{key}'")
-        return TriangleMesh(data["vertices"], np.array(data["triangles"]),
-                            [(i, j, l) for i, j, l in data["edge_lengths"]])
-    raise MeshError(f"unknown format {format!r}")
+    if suffix != ".json":
+        parse = _parse_off if suffix == ".off" else _parse_obj
+        return TriangleMesh.from_embedding(*parse(text, path))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MeshError(f"{path}: JSON parse failure: {exc}") from exc
+    for key in ("vertices", "triangles", "edge_lengths"):
+        if key not in data:
+            raise MeshError(f"{path}: missing field '{key}'")
+    return TriangleMesh(data["vertices"], np.array(data["triangles"]),
+                        [(i, j, l) for i, j, l in data["edge_lengths"]])
 
 
 def save_intrinsic_json(mesh, path, extra=None):

@@ -18,6 +18,24 @@ def tilted_density(mesh, seed):
     return DensityField(mesh, vals / (mesh.vertex_areas @ vals))
 
 
+def vanishing_density(mesh, zero):
+    """Unit-mass uniform density that is 0 on the vertices `zero` and their one-ring.
+
+    The mass matrix then has a zero row at every vertex of `zero`: each element
+    touching it carries no density.
+    """
+    touching = np.isin(mesh.triangles, list(zero)).any(axis=1)
+    vals = np.ones(mesh.vertex_count)
+    vals[np.unique(mesh.triangles[touching])] = 0.0
+    return vals / (mesh.vertex_areas @ vals)
+
+
+def polar_cap(mesh):
+    """Vertices of a unit-sphere mesh with z > 0.8."""
+    x = mesh.embedding / np.linalg.norm(mesh.embedding, axis=1)[:, None]
+    return np.flatnonzero(x[:, 2] > 0.8)
+
+
 @pytest.fixture(scope="session")
 def sphere2():
     return gen_icosphere(2)

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import confmax.eigen
 from confmax.eigen import (EigenError, IndefiniteMassError, cluster_eigenvalues,
                            solve_pencil, spectrum_rows)
 from confmax.fem import assemble_mass, assemble_stiffness, random_density, uniform_density
 from confmax.mesh import gen_flat_torus, gen_icosphere
-from conftest import SQUARE, tilted_density
+from conftest import SQUARE, polar_cap, tilted_density, vanishing_density
 
 
 def _solve_uniform(mesh, k, seed=0):
@@ -222,20 +224,48 @@ def test_indefinite_blocks_fall_back_to_global_check(sphere2):
     assert np.all(res.eigenvalues > 0)
 
 
-def test_zero_mass_rows_excluded(sphere2):
-    # kill the density on one vertex star; the solver restricts to the support
-    mu = uniform_density(sphere2).values.copy()
-    star = {0}
-    for t in sphere2.triangles:
-        if 0 in t:
-            star.update(int(v) for v in t)
-    mu[list(star)] = 0.0
-    M = assemble_mass(sphere2, mu)
-    K = assemble_stiffness(sphere2)
-    res = solve_pencil(K, M, k=2)
-    assert 0 in res.excluded_vertices
-    assert np.all(res.eigenvectors[0] == 0.0)
-    assert np.all(np.isfinite(res.eigenvalues))
+@pytest.mark.parametrize("mesh, zero", [
+    ("sphere2", lambda mesh: [0]),  # the vertex-0 star
+    ("sphere3", polar_cap),
+], ids=["star", "cap"])
+def test_zero_mass_rows_solve_the_whole_pencil(mesh, zero, request):
+    # the density vanishes on a vertex set and its one-ring; the returned
+    # vectors must solve K u = lambda M u on every row, zero-mass rows included,
+    # with the eigenvalues of the Schur complement that eliminates those rows
+    mesh = request.getfixturevalue(mesh)
+    zero = zero(mesh)
+    K = assemble_stiffness(mesh)
+    M = assemble_mass(mesh, vanishing_density(mesh, zero))
+    massless = np.flatnonzero(np.abs(M.matrix).sum(axis=1) == 0)
+    assert np.array_equal(massless, np.sort(zero))
+    res = solve_pencil(K, M, k=4)
+
+    Kd, Md = K.matrix.toarray(), M.matrix.toarray()
+    s = np.setdiff1d(np.arange(mesh.vertex_count), massless)
+    Kse = Kd[np.ix_(s, massless)]
+    schur = Kd[np.ix_(s, s)] - Kse @ np.linalg.solve(Kd[np.ix_(massless, massless)], Kse.T)
+    ref = scipy.linalg.eigh(schur, Md[np.ix_(s, s)], eigvals_only=True)[1:5]
+    assert np.abs(res.eigenvalues - ref).max() <= 1e-12 * ref.max()
+
+    U = res.eigenvectors
+    rows = K.matrix @ U - (M.matrix @ U) * res.eigenvalues
+    assert np.abs(rows).max() <= 1e-10
+    assert np.abs(U.T @ (M.matrix @ U) - np.eye(4)).max() < 1e-10
+
+
+def test_zero_mass_rows_need_no_quadratic_memory(sphere4):
+    # a solve with zero-mass rows keeps to the uniform solve's memory: nothing
+    # of size (zero-mass rows) x (mesh) is formed
+    K = assemble_stiffness(sphere4)
+    peaks = []
+    for mu in (uniform_density(sphere4).values,
+               vanishing_density(sphere4, polar_cap(sphere4))):
+        M = assemble_mass(sphere4, mu)
+        tracemalloc.start()
+        solve_pencil(K, M, k=8)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
 
 
 def test_cluster_partition_examples():

@@ -8,12 +8,13 @@ from scipy.sparse.csgraph import dijkstra
 import confmax.maximizer
 from confmax.bench import saturation_check
 from confmax.fem import DensityField, random_density, uniform_density
+from confmax.frame import recover_density
 from confmax.maximizer import (AscentConfig, ProjectionError, ascent_step,
                                detect_collapse, make_initial_density, maximize,
                                negative_measure, project_density,
                                saturated_measure, trace_csv_rows)
 from confmax.mesh import gen_flat_torus, gen_icosphere
-from conftest import EQUILATERAL, tilted_density
+from conftest import EQUILATERAL, polar_cap, tilted_density, vanishing_density
 
 
 def test_config_validation():
@@ -105,6 +106,18 @@ def test_ascent_step_monotone(sphere3):
     _, spectral, _, info = ascent_step(sphere3, mu, cfg)
     assert info["lambda_next"] >= info["lambda_k"] * (1.0 - 1e-12)
     assert info["lambda_k"] == pytest.approx(spectral.lambda1)
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_vanishing_region_is_not_absorbing(sphere3):
+    # the eigenvectors are harmonic, not zero, where the density vanishes, so
+    # the recovered density revives the region instead of keeping it at 0
+    cap = polar_cap(sphere3)
+    mu = project_density(sphere3, vanishing_density(sphere3, cap), 0.0,
+                         AscentConfig().n_schedule[0] / sphere3.area)
+    assert cap.size == 61
+    _, _, frame, _ = ascent_step(sphere3, mu, AscentConfig())
+    assert recover_density(sphere3, frame).values[cap].min() > 0.0
 
 
 def _record_k(monkeypatch):

@@ -167,7 +167,7 @@ def test_orientation_conflict(tmp_path):
 def test_intrinsic_json_roundtrip(tmp_path, eq_torus16):
     p = tmp_path / "torus.json"
     save_intrinsic_json(eq_torus16, p)
-    m = load_mesh(p, format="intrinsic-JSON")
+    m = load_mesh(p)
     assert m.genus == 1
     assert m.area == pytest.approx(eq_torus16.area, rel=1e-12)
 
