@@ -32,7 +32,9 @@ def certificate(mesh, mu, spectral, frame, K):
 
     ``collapse`` is the ``detect_collapse`` record; its ``diameter`` is the
     double-sweep edge-path diameter of which the ``max_ball_mass`` radii
-    (0.05, 0.1, 0.2) are fractions.
+    (0.05, 0.1, 0.2) are fractions. The balls are stored on the mesh the first
+    time they are needed, so after ``maximize`` this record costs three
+    sparse products.
     """
     if mu.mesh is not mesh or frame.U.shape[0] != mesh.vertex_count:
         raise ValueError("inconsistent mesh references across inputs")

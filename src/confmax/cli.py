@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from .fem import DensityError, assemble_mass, assemble_stiffness, export_matrix_
 from .frame import FrameError
 from .maximizer import (AscentConfig, ProjectionError, make_initial_density,
                         maximize, trace_csv_rows)
-from .mesh import (MeshError, gen_flat_torus, gen_icosphere, load_mesh,
+from .mesh import (MeshError, gen_flat_torus, gen_icosphere, load_mesh, mesh_stats,
                    save_intrinsic_json)
 
 EXIT_OK = 0
@@ -163,6 +164,8 @@ def cmd_maximize(args, cfg):
         "iterations": len(trace.rows),
         "saturation_constant": trace.saturation_constant,
         "skipped_stages": trace.skipped_stages,
+        "config": dataclasses.asdict(config),
+        "mesh_stats": mesh_stats(mesh),
     }
     (out / "final.json").write_text(json.dumps(state, indent=2))
     if args.dump_matrices:

@@ -10,17 +10,11 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .eigen import DEFAULT_REL_GAP, solve_pencil
 from .fem import (DensityField, assemble_mass, assemble_stiffness,
                   random_density, uniform_density)
 from .frame import recover_density, select_frame
-
-
-COLLAPSE_RADII = (0.05, 0.1, 0.2)  # ball radii as fractions of the diameter
-_SOURCE_BLOCK = 512  # Dijkstra sources per block in detect_collapse
 
 
 class ProjectionError(RuntimeError):
@@ -177,23 +171,16 @@ def negative_measure(mesh, mu):
 
 
 def detect_collapse(mu, mesh):
-    """Mass of the heaviest intrinsic ball at each of COLLAPSE_RADII * diam(M).
+    """Mass of the heaviest intrinsic ball at each of mesh.COLLAPSE_RADII * diam(M).
 
-    Distances are edge paths from Dijkstra truncated at the largest radius, a
-    block of sources at a time (exact up to the limit; no V x V matrix). diam(M)
-    is a double sweep: a lower bound on the all-pairs maximum.
+    The balls depend on the mesh alone: ``mesh.collapse_balls`` finds them by
+    truncated Dijkstra once per mesh and stores them sparsely (0.79M entries,
+    4.0 MB, at icosphere 4). Each density then costs three sparse products.
+    diam(M) is a double sweep: a lower bound on the all-pairs maximum.
     """
-    v = mesh.vertex_count
-    g = csr_matrix((mesh.edge_lengths, mesh.edges.T), shape=(v, v))  # i < j; undirected search
-    far = int(np.argmax(dijkstra(g, directed=False, indices=0)))
-    diam = float(dijkstra(g, directed=False, indices=far).max())
+    diam, members = mesh.collapse_balls
     vmass = mu.values * mesh.vertex_areas
-    record = dict.fromkeys(COLLAPSE_RADII, 0.0)
-    for s in range(0, v, _SOURCE_BLOCK):
-        d = dijkstra(g, directed=False, indices=np.arange(s, min(s + _SOURCE_BLOCK, v)),
-                     limit=max(COLLAPSE_RADII) * diam)
-        for r in COLLAPSE_RADII:
-            record[r] = max(record[r], float(((d <= r * diam) @ vmass).max()))
+    record = {r: float((ball @ vmass).max()) for r, ball in members.items()}
     return {"max_ball_mass": record, "flag": record[0.05] > 0.5, "diameter": diam}
 
 

@@ -7,15 +7,32 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
+
+COLLAPSE_RADII = (0.05, 0.1, 0.2)  # ball radii as fractions of the diameter
+_SOURCE_BLOCK = 128  # Dijkstra sources per block: one (block, V) float64 distance slab
 
 
 class MeshError(ValueError):
     """Invalid mesh input: non-manifold, open, mis-oriented or degenerate."""
+
+
+class IntrinsicBalls(NamedTuple):
+    """Edge-path balls about every vertex, the density-free part of the collapse search.
+
+    diameter : double-sweep edge-path diameter, a lower bound on the all-pairs one
+    members : radius fraction r -> (V, V) 0/1 CSR matrix (bool data, int32
+        indices) whose row i lists, in ascending order, the vertices within
+        r * diameter of vertex i
+    """
+    diameter: float
+    members: dict
 
 
 def _kahan_heron(a, b, c):
@@ -63,6 +80,7 @@ class TriangleMesh:
         opposite corner c
     edge_lengths : (E,) float array
     cotangents : (F, 3) float array, cotangent of the angle at each corner
+    collapse_balls : IntrinsicBalls at COLLAPSE_RADII, built on first use
     embedding : optional (V, 3) float array reproducing edge_lengths
     """
 
@@ -183,6 +201,39 @@ class TriangleMesh:
         np.add.at(va, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
         self.vertex_areas = va
         self.area = float(self.areas.sum())
+
+    @cached_property
+    def collapse_balls(self):
+        """IntrinsicBalls at each of COLLAPSE_RADII, built once per mesh.
+
+        Distances are edge paths from Dijkstra truncated at the largest radius,
+        a block of sources at a time: exact up to the limit, with no V x V
+        matrix. The diameter is a double sweep, the eccentricity of the vertex
+        farthest from vertex 0.
+        """
+        v = self.vertex_count
+        g = csr_matrix((self.edge_lengths, self.edges.T), shape=(v, v))  # i < j; undirected search
+        far = int(np.argmax(dijkstra(g, directed=False, indices=0)))
+        diam = float(dijkstra(g, directed=False, indices=far).max())
+        limit = max(COLLAPSE_RADII) * diam
+        counts = {r: [] for r in COLLAPSE_RADII}
+        cols = {r: [] for r in COLLAPSE_RADII}
+        for s in range(0, v, _SOURCE_BLOCK):
+            d = dijkstra(g, directed=False, indices=np.arange(s, min(s + _SOURCE_BLOCK, v)),
+                         limit=limit)
+            near = np.flatnonzero(d <= limit)  # row-major: by source, then by vertex
+            dist = d.ravel()[near]
+            for r in COLLAPSE_RADII:
+                hit = near[dist <= r * diam]
+                counts[r].append(np.bincount(hit // v, minlength=len(d)))
+                cols[r].append((hit % v).astype(np.int32))
+        members = {}
+        for r in COLLAPSE_RADII:
+            indices = np.concatenate(cols[r])
+            indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts[r]))])
+            members[r] = csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
+                                    shape=(v, v))
+        return IntrinsicBalls(diam, members)
 
     def _check_embedding(self, emb):
         d = np.linalg.norm(emb[self.edges[:, 0]] - emb[self.edges[:, 1]], axis=1)

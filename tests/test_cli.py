@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from confmax.bench import BenchResult
 from confmax.cli import _ascent_config, build_parser, main
 from confmax.eigen import EigenError
 from confmax.maximizer import AscentConfig
+from confmax.mesh import gen_icosphere, mesh_stats
 
 
 def test_spectrum_icosphere(tmp_path, capsys):
@@ -51,6 +53,9 @@ def test_maximize_outputs(tmp_path):
         assert (out / name).exists(), name
     final = json.loads((out / "final.json").read_text())
     assert final["status"] == "converged"
+    config = AscentConfig(n_schedule=(4.0,), max_iters=100, lam_tol=1e-5)
+    assert final["config"] == json.loads(json.dumps(dataclasses.asdict(config)))
+    assert final["mesh_stats"] == json.loads(json.dumps(mesh_stats(gen_icosphere(2))))
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["schema"] == "confspec-cert-1"
     dens = json.loads((out / "density.json").read_text())
