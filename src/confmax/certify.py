@@ -31,10 +31,9 @@ def certificate(mesh, mu, spectral, frame, K):
     K is the mesh's StiffnessMatrix, for the harmonic-map residual.
 
     ``collapse`` is the ``detect_collapse`` record; its ``diameter`` is the
-    double-sweep edge-path diameter of which the ``max_ball_mass`` radii
-    (0.05, 0.1, 0.2) are fractions. The balls are stored on the mesh the first
-    time they are needed, so after ``maximize`` this record costs three
-    sparse products.
+    double-sweep edge-path diameter of which the one ``max_ball_mass`` radius
+    (0.05) is a fraction. The search runs afresh on each call, in memory
+    linear in V, and stores nothing on the mesh.
     """
     if mu.mesh is not mesh or frame.U.shape[0] != mesh.vertex_count:
         raise ValueError("inconsistent mesh references across inputs")

@@ -19,7 +19,7 @@ from .certify import save_certificate
 from .eigen import EigenError, solve_pencil, spectrum_rows
 from .fem import DensityError, assemble_mass, assemble_stiffness, export_matrix_market
 from .frame import FrameError
-from .maximizer import (AscentConfig, ProjectionError, make_initial_density,
+from .maximizer import (RANDOM_SPEC, AscentConfig, ProjectionError, make_initial_density,
                         maximize, trace_csv_rows)
 from .mesh import (MeshError, gen_flat_torus, gen_icosphere, load_mesh, mesh_stats,
                    save_intrinsic_json)
@@ -91,7 +91,7 @@ def _build_mesh(gen, mesh_path):
 
 
 def _density_init(spec):
-    if spec in ("uniform",) or spec.startswith("random"):
+    if spec == "uniform" or RANDOM_SPEC.fullmatch(spec):
         return spec
     # otherwise a file containing a JSON array or intrinsic-JSON with "density"
     data = json.loads(Path(spec).read_text())

@@ -6,15 +6,23 @@ decrease the normalized eigenvalue (beyond the tolerance).
 """
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .eigen import DEFAULT_REL_GAP, solve_pencil
 from .fem import (DensityField, assemble_mass, assemble_stiffness,
                   random_density, uniform_density)
 from .frame import recover_density, select_frame
+
+
+COLLAPSE_RADIUS = 0.05  # collapse ball radius, a fraction of the diameter
+RANDOM_SPEC = re.compile(r"random(?::(\d+))?")  # a seeded random initial density
+_SLAB = 2 ** 18  # entries in one block's (sources, V) float64 distance slab: 2 MB
 
 
 class ProjectionError(RuntimeError):
@@ -171,29 +179,42 @@ def negative_measure(mesh, mu):
 
 
 def detect_collapse(mu, mesh):
-    """Mass of the heaviest intrinsic ball at each of mesh.COLLAPSE_RADII * diam(M).
+    """Mass of the heaviest intrinsic ball of radius COLLAPSE_RADIUS * diam(M).
 
-    The balls depend on the mesh alone: ``mesh.collapse_balls`` finds them by
-    truncated Dijkstra once per mesh and stores them sparsely (0.79M entries,
-    4.0 MB, at icosphere 4). Each density then costs three sparse products.
-    diam(M) is a double sweep: a lower bound on the all-pairs maximum.
+    diam(M) is the double-sweep edge-path diameter (the eccentricity of the
+    vertex farthest from vertex 0), a lower bound on the all-pairs maximum.
+    The balls come from Dijkstra from every vertex truncated at the radius, in
+    blocks of sources whose distances fill one slab of _SLAB entries. Nothing
+    is kept between calls, so memory is O(V + _SLAB).
     """
-    diam, members = mesh.collapse_balls
+    v = mesh.vertex_count
+    g = csr_matrix((mesh.edge_lengths, mesh.edges.T), shape=(v, v))  # i < j; undirected search
+    far = int(np.argmax(dijkstra(g, directed=False, indices=0)))
+    diam = float(dijkstra(g, directed=False, indices=far).max())
+    limit = COLLAPSE_RADIUS * diam
     vmass = mu.values * mesh.vertex_areas
-    record = {r: float((ball @ vmass).max()) for r, ball in members.items()}
-    return {"max_ball_mass": record, "flag": record[0.05] > 0.5, "diameter": diam}
+    block = max(1, _SLAB // v)
+    heaviest = -np.inf
+    for s in range(0, v, block):
+        d = dijkstra(g, directed=False, indices=np.arange(s, min(s + block, v)), limit=limit)
+        hit = np.flatnonzero(d <= limit)  # row-major: by source, then by vertex
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(hit // v, minlength=len(d)))])
+        ball = csr_matrix((np.ones(len(hit), dtype=bool), (hit % v).astype(np.int32), indptr),
+                          shape=(len(d), v))
+        heaviest = max(heaviest, float((ball @ vmass).max()))
+    return {"max_ball_mass": {COLLAPSE_RADIUS: heaviest}, "flag": heaviest > 0.5,
+            "diameter": diam}
 
 
 def make_initial_density(mesh, init, floor, cap, seed=0):
-    """Resolve 'uniform' | 'random' | DensityField | array into the S_N box."""
+    """Resolve 'uniform' | 'random[:seed]' | DensityField | array into the S_N box."""
     if isinstance(init, DensityField):
         vals = init.values
     elif isinstance(init, str):
         if init == "uniform":
             vals = uniform_density(mesh).values
-        elif init.startswith("random"):
-            s = int(init.split(":", 1)[1]) if ":" in init else seed
-            vals = random_density(mesh, s).values
+        elif m := RANDOM_SPEC.fullmatch(init):
+            vals = random_density(mesh, seed if m[1] is None else int(m[1])).values
         else:
             raise ValueError(f"unknown density init {init!r}")
     else:

@@ -7,32 +7,15 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
-
-COLLAPSE_RADII = (0.05, 0.1, 0.2)  # ball radii as fractions of the diameter
-_SOURCE_BLOCK = 128  # Dijkstra sources per block: one (block, V) float64 distance slab
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 class MeshError(ValueError):
     """Invalid mesh input: non-manifold, open, mis-oriented or degenerate."""
-
-
-class IntrinsicBalls(NamedTuple):
-    """Edge-path balls about every vertex, the density-free part of the collapse search.
-
-    diameter : double-sweep edge-path diameter, a lower bound on the all-pairs one
-    members : radius fraction r -> (V, V) 0/1 CSR matrix (bool data, int32
-        indices) whose row i lists, in ascending order, the vertices within
-        r * diameter of vertex i
-    """
-    diameter: float
-    members: dict
 
 
 def _kahan_heron(a, b, c):
@@ -69,7 +52,7 @@ def _corner_pairs(triangles):
 
 
 class TriangleMesh:
-    """Immutable closed oriented 2-manifold triangulation with intrinsic metric.
+    """Immutable closed connected oriented 2-manifold triangulation with intrinsic metric.
 
     Attributes
     ----------
@@ -79,9 +62,14 @@ class TriangleMesh:
     triangle_edges : (F, 3) int array, entry c the id in `edges` of the edge
         opposite corner c
     edge_lengths : (E,) float array
+    triangle_edge_lengths : (F, 3) float array, edge_lengths[triangle_edges]
+    areas : (F,) float array of triangle areas; area their sum
+    vertex_areas : (V,) float array, a third of each incident triangle's area
     cotangents : (F, 3) float array, cotangent of the angle at each corner
-    collapse_balls : IntrinsicBalls at COLLAPSE_RADII, built on first use
+    genus : int
     embedding : optional (V, 3) float array reproducing edge_lengths
+
+    All are set at construction; nothing is cached on the mesh afterwards.
     """
 
     def __init__(self, vertex_count, triangles, edge_lengths, embedding=None):
@@ -169,25 +157,33 @@ class TriangleMesh:
             h = int(np.argmax(open_pair))
             a, b = self.edges[pair_edge[h]]
             raise MeshError(f"open boundary at edge ({a},{b}) (triangle {h // 3})")
-        # vertex links must be single cycles. Corner h (at tail[h]) is joined to
-        # the corner at the same vertex in the triangle across pair h, so each
-        # link cycle is one connected component of the corners.
+        # vertex links must be single cycles, and the mesh one part. One search
+        # covers two disjoint graphs: the corners, corner h (at tail[h]) joined
+        # to the corner at the same vertex in the triangle across pair h, whose
+        # components are the link cycles; and the vertices joined along edges,
+        # whose components are the parts.
         twin = first[np.searchsorted(directed, head * V + tail)]
         across = twin - twin % 3 + (twin + 1) % 3
         n = len(tail)
-        count, label = connected_components(
-            coo_matrix((np.ones(n), (np.arange(n), across)), shape=(n, n)))
-        link_vertex = np.empty(count, dtype=np.int64)
-        link_vertex[label] = tail
-        cycles = np.bincount(link_vertex, minlength=V)
-        if np.any(cycles != 1):
-            v = int(np.argmax(cycles != 1))
+        count, label = connected_components(coo_matrix(
+            (np.ones(n + len(self.edges)),
+             (np.concatenate([np.arange(n), n + self.edges[:, 0]]),
+              np.concatenate([across, n + self.edges[:, 1]]))), shape=(n + V, n + V)))
+        link_vertex = np.full(count, V)  # a part's label keeps V, so cycles[V] counts parts
+        link_vertex[label[:n]] = tail
+        cycles = np.bincount(link_vertex, minlength=V + 1)
+        if np.any(cycles[:V] != 1):
+            v = int(np.argmax(cycles[:V] != 1))
             if cycles[v] == 0:
                 raise MeshError(f"isolated vertex {v}")
             raise MeshError(f"vertex {v} link is not a single cycle")
         chi = self.vertex_count - len(self.edges) + len(self.triangles)
         if chi % 2 != 0 or chi > 2:
             raise MeshError(f"Euler characteristic {chi} is not 2-2g for integer g >= 0")
+        # checked last: the parts of a disconnected mesh can pass all of the above,
+        # and its pencil then has one zero eigenvalue per part
+        if cycles[V] > 1:
+            raise MeshError(f"mesh has {cycles[V]} connected components, not one")
         self.genus = (2 - chi) // 2
 
     def _build_geometry(self):
@@ -201,39 +197,6 @@ class TriangleMesh:
         np.add.at(va, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
         self.vertex_areas = va
         self.area = float(self.areas.sum())
-
-    @cached_property
-    def collapse_balls(self):
-        """IntrinsicBalls at each of COLLAPSE_RADII, built once per mesh.
-
-        Distances are edge paths from Dijkstra truncated at the largest radius,
-        a block of sources at a time: exact up to the limit, with no V x V
-        matrix. The diameter is a double sweep, the eccentricity of the vertex
-        farthest from vertex 0.
-        """
-        v = self.vertex_count
-        g = csr_matrix((self.edge_lengths, self.edges.T), shape=(v, v))  # i < j; undirected search
-        far = int(np.argmax(dijkstra(g, directed=False, indices=0)))
-        diam = float(dijkstra(g, directed=False, indices=far).max())
-        limit = max(COLLAPSE_RADII) * diam
-        counts = {r: [] for r in COLLAPSE_RADII}
-        cols = {r: [] for r in COLLAPSE_RADII}
-        for s in range(0, v, _SOURCE_BLOCK):
-            d = dijkstra(g, directed=False, indices=np.arange(s, min(s + _SOURCE_BLOCK, v)),
-                         limit=limit)
-            near = np.flatnonzero(d <= limit)  # row-major: by source, then by vertex
-            dist = d.ravel()[near]
-            for r in COLLAPSE_RADII:
-                hit = near[dist <= r * diam]
-                counts[r].append(np.bincount(hit // v, minlength=len(d)))
-                cols[r].append((hit % v).astype(np.int32))
-        members = {}
-        for r in COLLAPSE_RADII:
-            indices = np.concatenate(cols[r])
-            indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts[r]))])
-            members[r] = csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
-                                    shape=(v, v))
-        return IntrinsicBalls(diam, members)
 
     def _check_embedding(self, emb):
         d = np.linalg.norm(emb[self.edges[:, 0]] - emb[self.edges[:, 1]], axis=1)
@@ -390,11 +353,24 @@ def load_mesh(path):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MeshError(f"{path}: JSON parse failure: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MeshError(f"{path}: expected a JSON object")
     for key in ("vertices", "triangles", "edge_lengths"):
         if key not in data:
             raise MeshError(f"{path}: missing field '{key}'")
-    return TriangleMesh(data["vertices"], np.array(data["triangles"]),
-                        [(i, j, l) for i, j, l in data["edge_lengths"]])
+    count, tris, lengths = data["vertices"], data["triangles"], data["edge_lengths"]
+    if type(count) is not int:
+        raise MeshError(f"{path}: 'vertices' must be an integer vertex count")
+    if not _triples(tris) or any(type(i) is not int for t in tris for i in t):
+        raise MeshError(f"{path}: 'triangles' must be a list of integer triples")
+    if not _triples(lengths):
+        raise MeshError(f"{path}: 'edge_lengths' must be a list of [i, j, length] triples")
+    return TriangleMesh(count, np.array(tris), lengths)
+
+
+def _triples(rows):
+    """True for a JSON list of 3-element lists."""
+    return isinstance(rows, list) and all(isinstance(r, list) and len(r) == 3 for r in rows)
 
 
 def save_intrinsic_json(mesh, path, extra=None):

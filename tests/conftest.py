@@ -36,6 +36,20 @@ def polar_cap(mesh):
     return np.flatnonzero(x[:, 2] > 0.8)
 
 
+def disjoint_sphere_and_torus():
+    """Intrinsic-JSON fields of icosphere:1 and a 4 x 4 square torus side by side.
+
+    Euler characteristic 2 + 0 = 2, so only a connectivity check can refuse it.
+    """
+    ico, torus = gen_icosphere(1), gen_flat_torus(SQUARE, 4, 4)
+    n = ico.vertex_count
+    return {"vertices": n + torus.vertex_count,
+            "triangles": np.vstack([ico.triangles, torus.triangles + n]).tolist(),
+            "edge_lengths": [[int(i) + o, int(j) + o, float(l)]
+                             for m, o in ((ico, 0), (torus, n))
+                             for (i, j), l in zip(m.edges, m.edge_lengths)]}
+
+
 @pytest.fixture(scope="session")
 def sphere2():
     return gen_icosphere(2)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from confmax.cli import _ascent_config, build_parser, main
 from confmax.eigen import EigenError
 from confmax.maximizer import AscentConfig
 from confmax.mesh import gen_icosphere, mesh_stats
+from conftest import disjoint_sphere_and_torus
 
 
 def test_spectrum_icosphere(tmp_path, capsys):
@@ -123,6 +125,40 @@ def test_bad_mesh_file_reports_input_error(tmp_path, capsys):
     rc = main(["spectrum", "--mesh", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["disconnected", "vertices-not-an-integer",
+                                  "triangles-not-triples", "not-an-object"])
+def test_bad_intrinsic_mesh_exits_with_input_error(tmp_path, capsys, case):
+    # a disconnected mesh has one zero eigenvalue per part, so no lambda1 to report
+    data = disjoint_sphere_and_torus()
+    if case == "vertices-not-an-integer":
+        data["vertices"] = [1, 2]
+    elif case == "triangles-not-triples":
+        data["triangles"][3] = data["triangles"][3][:2]
+    elif case == "not-an-object":
+        data = 3
+    mesh = tmp_path / "mesh.json"
+    mesh.write_text(json.dumps(data))
+    assert main(["spectrum", "--mesh", str(mesh), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_density_file_named_random_is_read(tmp_path, monkeypatch):
+    # only 'random' and 'random:<int>' name a random density; any other
+    # string is a file, whatever its name
+    monkeypatch.chdir(tmp_path)
+    sphere = gen_icosphere(1)
+    Path("random_peak.json").write_text(
+        json.dumps([1.0 / sphere.area] * sphere.vertex_count))
+    lam = {}
+    for spec in ("uniform", "random_peak.json", "random:0"):
+        out = tmp_path / str(len(lam))
+        assert main(["spectrum", "--gen", "icosphere:1", "--density", spec,
+                     "--out", str(out)]) == 0
+        lam[spec] = json.loads((out / "spectrum.json").read_text())["lambda1_area"]
+    assert lam["random_peak.json"] == pytest.approx(lam["uniform"], rel=1e-12)
+    assert lam["random:0"] != pytest.approx(lam["uniform"], rel=1e-6)
 
 
 def test_missing_mesh_source(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -7,7 +8,6 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import confmax.maximizer
-import confmax.mesh
 from confmax.bench import saturation_check
 from confmax.fem import DensityField, random_density, uniform_density
 from confmax.frame import recover_density
@@ -285,20 +285,19 @@ def test_detect_collapse_uniform_clean(sphere3):
 
 
 def _reference_record(d, mu):
-    """Ball masses from all-pairs distances, the same double sweep on the dense rows.
+    """Ball mass from all-pairs distances, the same double sweep on the dense rows.
 
     Each ball sums its vertices' masses in ascending vertex order, as a CSR row
     product does, so the reference holds to the last bit.
     """
     diam = d[np.argmax(d[0])].max()
     vmass = mu.values * mu.mesh.vertex_areas
-    return diam, {r: (csr_matrix(d <= r * diam) @ vmass).max() for r in (0.05, 0.1, 0.2)}
+    return diam, {0.05: (csr_matrix(d <= 0.05 * diam) @ vmass).max()}
 
 
 @pytest.mark.parametrize("density", ["uniform", "random"])
 def test_detect_collapse_matches_all_pairs(sphere3, eq_torus16, density):
-    # sphere3 (V = 642) spans six source blocks; a second density on the same
-    # mesh reads the balls stored by the first
+    # sphere3 (V = 642) spans two source blocks of 408 sources, eq_torus16 one
     for mesh in (sphere3, eq_torus16):
         d = _all_pairs(mesh)
         first = (uniform_density(mesh) if density == "uniform"
@@ -311,51 +310,31 @@ def test_detect_collapse_matches_all_pairs(sphere3, eq_torus16, density):
             assert out["flag"] == (ref[0.05] > 0.5)
 
 
-def test_collapse_balls_built_once_per_mesh(monkeypatch):
-    searches = []
-
-    def counting_dijkstra(*args, **kwargs):
-        searches.append(kwargs["indices"])
-        return dijkstra(*args, **kwargs)
-
-    monkeypatch.setattr(confmax.mesh, "dijkstra", counting_dijkstra)
-    mesh = gen_icosphere(2)
-    d = _all_pairs(mesh)
-    for mu, new_searches in ((uniform_density(mesh), 4), (random_density(mesh, 5), 0)):
-        before = len(searches)
-        out = detect_collapse(mu, mesh)
-        # two sweeps for the diameter, then two source blocks (V = 162)
-        assert len(searches) - before == new_searches
-        diam, ref = _reference_record(d, mu)
-        assert out["diameter"] == diam
-        assert out["max_ball_mass"] == ref
-    fresh = gen_icosphere(2)
-    before = len(searches)
-    detect_collapse(uniform_density(fresh), fresh)
-    assert len(searches) - before == 4
-
-
 def test_collapse_search_memory():
-    # The first call on icosphere 4 (V = 2562) peaks while its last block of
-    # sources is searched. Two (block x V) float64 distance slabs are alive
-    # then, the previous block's and the new one: 2 x _SOURCE_BLOCK x V x 8 B =
-    # 2 x 128 x 2562 x 8 B = 5.2 MB. The ball entries found so far are held as
-    # int32 indices. Balls of radius 0.05, 0.1, 0.2 x diam are geodesic caps of
-    # area fraction (1 - cos(r * pi)) / 2 = 0.6%, 2.4% and 9.5%, together at
-    # most 12.6% of V^2 = 0.83M entries (edge paths are longer than
-    # geodesics), 3.3 MB. That is 8.5 MB, 9.3 MB measured with one block's
-    # small temporaries. 12 MB leaves room for those and still fails a search
-    # that forms a dense (block x V) float mask per radius, which peaks at
-    # 22 MB with 512 sources per block.
-    mesh = gen_icosphere(4)
-    mu = uniform_density(mesh)
-    tracemalloc.start()
-    try:
-        detect_collapse(mu, mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12e6
+    # A call peaks while a block of sources is searched: its distance slab of
+    # 2**18 float64 entries (2.1 MB) is filled while the previous block's is
+    # still bound, 4.2 MB. The slab's bool mask adds 0.26 MB; the block's ball
+    # entries (a 0.05 x diam ball holds 0.6% of V, so 1.6K hits) 20 KB; the
+    # graph and O(V) vectors under 1 MB at icosphere 5. 8 MB bounds that
+    # (measured: 4.5 MB at icosphere 4, 5.1 MB at icosphere 5). Keeping every
+    # vertex's 0.05 ball would take 0.62M entries, 3.1 MB, at icosphere 5 and
+    # grow as V^2. Nothing outlives the call: the mesh gains no attribute, and
+    # what stays traced is under one V-vector of float64.
+    for level in (4, 5):
+        mesh = gen_icosphere(level)
+        mu = uniform_density(mesh)
+        held = dict(vars(mesh))
+        tracemalloc.start()
+        try:
+            detect_collapse(mu, mesh)
+            gc.collect()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        assert kept < 8 * mesh.vertex_count
+        assert vars(mesh).keys() == held.keys()
+        assert all(vars(mesh)[k] is v for k, v in held.items())
 
 
 def test_double_sweep_diameter_exact_on_flat_torus(eq_torus16):
@@ -370,8 +349,12 @@ def test_make_initial_density_variants(sphere2):
     r2 = make_initial_density(sphere2, "random:5", 0.0, cap)
     assert np.array_equal(r1.values, r2.values)
     assert not np.array_equal(u.values, r1.values)
-    with pytest.raises(ValueError):
-        make_initial_density(sphere2, "banana", 0.0, cap)
+    assert np.array_equal(make_initial_density(sphere2, "random", 0.0, cap, seed=5).values,
+                          r1.values)
+    # only 'random' and 'random:<int>' name a random density
+    for spec in ("banana", "randomX", "random:", "random:x", "random_peak.json"):
+        with pytest.raises(ValueError):
+            make_initial_density(sphere2, spec, 0.0, cap)
 
 
 def test_trace_csv_rows_shape(sphere3):

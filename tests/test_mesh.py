@@ -6,7 +6,7 @@ import pytest
 
 from confmax.mesh import (_ICO_FACES, _ICO_VERTS, MeshError, TriangleMesh, gen_flat_torus,
                           gen_icosphere, load_mesh, mesh_stats, save_intrinsic_json)
-from conftest import EQUILATERAL, SQUARE
+from conftest import EQUILATERAL, SQUARE, disjoint_sphere_and_torus
 
 
 def regular_tetrahedron():
@@ -172,6 +172,26 @@ def test_intrinsic_json_roundtrip(tmp_path, eq_torus16):
     assert m.area == pytest.approx(eq_torus16.area, rel=1e-12)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("vertices", [1, 2], "'vertices' must be an integer vertex count"),
+    ("vertices", 42.0, "'vertices' must be an integer vertex count"),
+    ("triangles", [[0, 1]], "'triangles' must be a list of integer triples"),
+    ("triangles", [[0, 1, 2.5]], "'triangles' must be a list of integer triples"),
+    ("triangles", 7, "'triangles' must be a list of integer triples"),
+    ("edge_lengths", [5], "'edge_lengths' must be a list of [i, j, length] triples"),
+], ids=["vertices-list", "vertices-float", "triangles-pair", "triangles-float",
+        "triangles-int", "edge-lengths-flat"])
+def test_malformed_intrinsic_json_rejected(tmp_path, field, value, message):
+    data = {"vertices": 42, "triangles": gen_icosphere(1).triangles.tolist(),
+            "edge_lengths": []}
+    data[field] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(MeshError) as exc:
+        load_mesh(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
 def test_tetrahedron_valid():
     m = regular_tetrahedron()
     assert m.genus == 0
@@ -219,6 +239,9 @@ def _rejection_case(case):
         V, tris, lengths = _two_icosahedra(glue=True)
     elif case == "euler-characteristic":
         V, tris, lengths = _two_icosahedra(glue=False)
+    elif case == "disconnected":
+        data = disjoint_sphere_and_torus()
+        V, tris, lengths = data["vertices"], np.array(data["triangles"]), data["edge_lengths"]
     return V, tris, lengths
 
 
@@ -234,6 +257,7 @@ def _rejection_case(case):
     ("isolated-vertex", "isolated vertex 12"),
     ("pinched-vertex", "vertex 0 link is not a single cycle"),
     ("euler-characteristic", "Euler characteristic 4 is not 2-2g for integer g >= 0"),
+    ("disconnected", "mesh has 2 connected components, not one"),
 ])
 def test_rejections_name_the_fault(case, message):
     V, tris, lengths = _rejection_case(case)
