@@ -1,15 +1,18 @@
 """P1 finite element assembly on intrinsic meshes.
 
 Stiffness is the cotangent matrix (mu-independent: Dirichlet energy is a
-conformal invariant in 2D); mass carries the per-vertex conformal density.
+conformal invariant in 2D), so it also holds the mesh's one sparse factor;
+mass carries the per-vertex conformal density.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .mesh import TriangleMesh
 
@@ -64,6 +67,16 @@ def random_density(mesh, seed):
 @dataclass(frozen=True)
 class StiffnessMatrix:
     matrix: sparse.csr_matrix
+
+    @cached_property
+    def grounded_lu(self):
+        """Sparse LU of K without vertex 0's row and column, built on first use.
+
+        K's null space is the constants of a connected mesh, so the grounded
+        matrix is positive definite. One factor serves every pencil solve on
+        the mesh: the stiffness does not depend on the density.
+        """
+        return splu(self.matrix[1:, 1:].T)  # symmetric CSR, transposed: CSC
 
 
 @dataclass(frozen=True)

@@ -57,3 +57,9 @@ def test_acceptance_criterion(num, bench_results):
 def test_every_bench_result_consumed(bench_results):
     claimed = {n for _, names in _CRITERIA.values() for n in names}
     assert claimed == set(bench_results)
+
+
+def test_quick_matrix_passes():
+    # coarse meshes with doubled tolerances: the matrix `confmax bench --quick` runs
+    failed = [f"{r.name}: {r.detail}" for r in run_all(quick=True, seed=0) if not r.passed]
+    assert not failed, "; ".join(failed)

@@ -232,6 +232,16 @@ def test_infeasible_schedule_exits_with_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("k, code", [(11, 0), (20, 2)])
+def test_k_beyond_the_spectrum_exits_with_input_error(tmp_path, capsys, k, code):
+    # icosphere:0 has V = 12 vertices, so eleven nonzero eigenvalues
+    rc = main(["spectrum", "--gen", "icosphere:0", "-k", str(k),
+               "--out", str(tmp_path / "o")])
+    assert rc == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: k must be between 1 and 11")
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise EigenError("no convergence")

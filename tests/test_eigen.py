@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import eigsh
 
 import confmax.eigen
+import confmax.fem
 from confmax.eigen import (EigenError, IndefiniteMassError, cluster_eigenvalues,
                            solve_pencil, spectrum_rows)
 from confmax.fem import assemble_mass, assemble_stiffness, random_density, uniform_density
@@ -105,9 +107,11 @@ def test_determinism(sphere2):
     assert np.array_equal(res1.eigenvectors, res2.eigenvectors)
 
 
-def test_one_factorization_serves_both_passes(sphere2, monkeypatch):
+def test_one_factorization_per_stiffness_matrix(sphere2, monkeypatch):
+    # the stiffness does not depend on the density: three densities on one K
+    # share its single factor, and each solve runs two ARPACK passes on it
     calls = {"splu": 0, "eigsh": []}
-    splu, eigsh = confmax.eigen.splu, confmax.eigen.eigsh
+    splu, eigsh = confmax.fem.splu, confmax.eigen.eigsh
 
     def counting_splu(*args, **kwargs):
         calls["splu"] += 1
@@ -116,16 +120,19 @@ def test_one_factorization_serves_both_passes(sphere2, monkeypatch):
     def counting_eigsh(*args, **kwargs):
         calls["eigsh"].append("OPinv" in kwargs)
         return eigsh(*args, **kwargs)
-    monkeypatch.setattr(confmax.eigen, "splu", counting_splu)
+    monkeypatch.setattr(confmax.fem, "splu", counting_splu)
     monkeypatch.setattr(confmax.eigen, "eigsh", counting_eigsh)
-    _solve_uniform(sphere2, 8)
-    assert calls == {"splu": 1, "eigsh": [True, True]}
+    K = assemble_stiffness(sphere2)
+    for mu in (uniform_density(sphere2), random_density(sphere2, 0),
+               vanishing_density(sphere2, [0])):
+        solve_pencil(K, assemble_mass(sphere2, mu), k=8)
+    assert calls == {"splu": 1, "eigsh": [True] * 6}
 
 
 def _count_lu_solves(monkeypatch):
     """Count operator applications: calls to solve of every factor built."""
     count = [0]
-    splu = confmax.eigen.splu
+    splu = confmax.fem.splu
 
     class Counting:
         def __init__(self, lu):
@@ -134,14 +141,14 @@ def _count_lu_solves(monkeypatch):
         def solve(self, rhs):
             count[0] += 1
             return self.lu.solve(rhs)
-    monkeypatch.setattr(confmax.eigen, "splu", lambda *a, **kw: Counting(splu(*a, **kw)))
+    monkeypatch.setattr(confmax.fem, "splu", lambda *a, **kw: Counting(splu(*a, **kw)))
     return count
 
 
 @pytest.mark.parametrize("k", [8, 1])
 def test_lanczos_work_is_mesh_independent(k, sphere4, monkeypatch):
-    # the shift sits at -1 in units of lambda * mass on every mesh, so the
-    # shift-inverted spectrum, and with it the Lanczos work, does not grow with V
+    # the operator's eigenvalues are the 1/lambda_i, which converge as the
+    # mesh refines, so the Lanczos work does not grow with V
     count = _count_lu_solves(monkeypatch)
     applications = []
     for mesh in (sphere4, gen_icosphere(5)):
@@ -149,6 +156,7 @@ def test_lanczos_work_is_mesh_independent(k, sphere4, monkeypatch):
         solve_pencil(assemble_stiffness(mesh),
                      assemble_mass(mesh, random_density(mesh, 0)), k=k)
         applications.append(count[0])
+    assert applications[0] > 0
     assert applications[1] <= 1.5 * applications[0]
 
 
@@ -163,28 +171,70 @@ def test_density_scale_changes_neither_spectrum_nor_work(k, sphere3, monkeypatch
     heavy = solve_pencil(K, assemble_mass(sphere3, 1000.0 * mu), k=k)
     assert np.abs(heavy.eigenvalues * 1e3 - unit.eigenvalues).max() \
         <= 1e-12 * unit.eigenvalues.max()
+    assert unit_count > 0
     assert count[0] == unit_count
 
 
-@pytest.mark.parametrize("density", ["uniform", "random"])
-def test_shared_factorization_matches_self_factoring_eigsh(sphere2, monkeypatch, density):
-    mu = uniform_density(sphere2) if density == "uniform" else random_density(sphere2, 1)
-    K, M = assemble_stiffness(sphere2), assemble_mass(sphere2, mu)
-    shared = solve_pencil(K, M, k=8)
-    eigsh = confmax.eigen.eigsh
+def _shift_invert_reference(K, M, k):
+    """k pairs above the zero mode by self-factoring shift-invert Lanczos.
 
-    def self_factoring(*args, OPinv, **kwargs):
-        return eigsh(*args, **kwargs)  # scipy factors K - sigma M itself
-    monkeypatch.setattr(confmax.eigen, "eigsh", self_factoring)
-    own = solve_pencil(K, M, k=8)
-    assert np.array_equal(shared.eigenvalues, own.eigenvalues)
-    assert np.array_equal(shared.eigenvectors, own.eigenvectors)
+    eigsh factors K - sigma M at sigma = -1/mass itself. Two passes from
+    independent start vectors are merged by Rayleigh-Ritz, since one pass can
+    miss a copy of an exactly degenerate eigenvalue; the lowest pair of the
+    merged basis is the zero mode.
+    """
+    rng = np.random.default_rng(0)
+    U = np.hstack([eigsh(K, k=k + 1, M=M, sigma=-1.0 / M.sum(), which="LM",
+                         v0=rng.standard_normal(K.shape[0]), tol=1e-10,
+                         maxiter=10000)[1] for _ in range(2)])
+    w, P = np.linalg.eigh(U.T @ (M @ U))
+    keep = w > 1e-8 * w.max()
+    U = U @ (P[:, keep] / np.sqrt(w[keep]))
+    lam, C = np.linalg.eigh(U.T @ (K @ U))
+    return lam[1:k + 1], U @ C[:, 1:k + 1]
+
+
+@pytest.mark.parametrize("density", ["uniform", "random", "vanishing"])
+def test_grounded_factor_matches_shift_invert(sphere2, density):
+    mu = {"uniform": uniform_density(sphere2).values,
+          "random": random_density(sphere2, 1).values,
+          "vanishing": vanishing_density(sphere2, [0])}[density]
+    K, M = assemble_stiffness(sphere2), assemble_mass(sphere2, mu)
+    res = solve_pencil(K, M, k=8)
+    lam, vec = _shift_invert_reference(K.matrix, M.matrix, 8)
+    assert np.abs(res.eigenvalues - lam).max() <= 1e-13 * lam.max()
+
+    # sine of the largest angle between the leading-cluster subspaces, in M
+    lead = list(res.clusters[0])
+    ours, ref = res.eigenvectors[:, lead], vec[:, lead]
+    off = ours - ref @ (ref.T @ (M.matrix @ ours))
+    sin_theta = math.sqrt(max(np.linalg.eigvalsh(off.T @ (M.matrix @ off)).max(), 0.0))
+    assert sin_theta <= 1e-6
+
+
+def test_k_beyond_the_spectrum_is_an_input_error():
+    mesh = gen_icosphere(0)  # V = 12: eleven nonzero eigenvalues
+    K, M = assemble_stiffness(mesh), assemble_mass(mesh, uniform_density(mesh))
+    assert solve_pencil(K, M, k=11).eigenvalues.shape == (11,)
+    with pytest.raises(ValueError, match="k must be between 1 and 11"):
+        solve_pencil(K, M, k=12)
+
+
+def test_sphere_clusters_hold_over_seeds(sphere3):
+    # whatever the start vectors, the solve resolves the 3-fold and the
+    # 5-fold cluster in full; a Krylov space one pair too small has missed
+    # one copy of the 5-fold one
+    K = assemble_stiffness(sphere3)
+    M = assemble_mass(sphere3, uniform_density(sphere3))
+    for seed in range(10):
+        res = solve_pencil(K, M, k=9, seed=seed)
+        assert tuple(map(len, res.clusters)) == (3, 5, 1), seed
 
 
 def test_factorization_failure_is_eigen_error(sphere2, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
-    monkeypatch.setattr(confmax.eigen, "splu", singular)
+    monkeypatch.setattr(confmax.fem, "splu", singular)
     with pytest.raises(EigenError, match="pencil solve failed: Factor is exactly singular"):
         _solve_uniform(sphere2, 2)
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+import confmax.fem
 import confmax.maximizer
 from confmax.bench import saturation_check
 from confmax.fem import DensityField, random_density, uniform_density
@@ -227,6 +228,20 @@ def test_maximize_sphere_reaches_round_value(sphere3):
     for a, b in zip(trace.rows, trace.rows[1:]):
         if a.N == b.N:
             assert b.lambda1_area >= a.lambda1_area * (1.0 - 1e-12)
+
+
+def test_maximize_factors_the_stiffness_once(sphere2, monkeypatch):
+    # every solve of a run, line-search trials included, shares one factor
+    calls = [0]
+    splu = confmax.fem.splu
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(confmax.fem, "splu", counting)
+    trace = maximize(sphere2, "random:0", AscentConfig())[3]
+    assert len(trace.rows) > 1
+    assert calls[0] == 1
 
 
 def test_maximize_attaches_certificate(sphere3):
