@@ -89,16 +89,14 @@ def torus_spectrum_check(n=48, rel_tol=0.01, seed=0, rel_gap=0.02):
                    f"sizes {len(c0)},{len(c1)}; values {v0:.4f}, {v1:.4f}")
 
 
-def run_sphere_max(s=4, seed=0, config=None):
+def run_sphere_max(s=4, seed=0):
     mesh = gen_icosphere(s)
-    config = config or AscentConfig(seed=seed)
-    return (mesh,) + maximize(mesh, f"random:{seed}", config)
+    return (mesh,) + maximize(mesh, f"random:{seed}", AscentConfig(seed=seed))
 
 
-def run_torus_max(lattice, n, seed=0, init="uniform", config=None):
+def run_torus_max(lattice, n, seed=0):
     mesh = gen_flat_torus(lattice, n, n)
-    config = config or AscentConfig(seed=seed)
-    return (mesh,) + maximize(mesh, init, config)
+    return (mesh,) + maximize(mesh, "uniform", AscentConfig(seed=seed))
 
 
 def fixed_point_check(mesh, name, tol=1e-6, seed=0):
@@ -199,7 +197,7 @@ def property_checks(seed=0):
     return out
 
 
-def monotonicity_check(trace, name, lam_tol=1e-7):
+def monotonicity_check(trace, name, lam_tol=AscentConfig.lam_tol):
     lams = [r.lambda1_area for r in trace.rows]
     ok = all(b >= a * (1.0 - 10 * lam_tol) for a, b in zip(lams, lams[1:]))
     worst = min(b - a for a, b in zip(lams, lams[1:])) if len(lams) > 1 else 0.0

@@ -13,7 +13,7 @@ import numpy as np
 
 from .fem import gradient_field
 from .frame import harmonic_residual, recover_density
-from .maximizer import detect_collapse, negative_measure, saturated_measure
+from .maximizer import _at_cap, detect_collapse, negative_measure, saturated_measure
 
 CERT_SCHEMA = "confspec-cert-1"
 _TOL_MESH = 0.02
@@ -39,12 +39,8 @@ def certificate(mesh, mu, spectral, frame, K):
         raise ValueError("inconsistent mesh references across inputs")
     lam_area = spectral.lambda1
 
-    # sphere constraint off the saturated set
-    if mu.cap is not None:
-        off_sat = mu.values < mu.cap * (1.0 - 1e-6)
-    else:
-        off_sat = np.ones(mesh.vertex_count, dtype=bool)
-    sphere_residual = float(np.abs(frame.w[off_sat] - 1.0).max())
+    # sphere constraint off the saturated set; a fully saturated density has none
+    sphere_residual = float(np.abs(frame.w[~_at_cap(mu)] - 1.0).max(initial=0.0))
 
     nu = recover_density(mesh, frame)
     recovery_l1 = float(mesh.vertex_areas @ np.abs(nu.values - mu.values))

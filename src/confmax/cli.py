@@ -1,5 +1,10 @@
 """Command-line front end.
 
+A ``--config`` file's keys are long flag names (``n-schedule``, ``max-iters``,
+``tol``, ``k``, ...). Its values become the subcommand's argparse defaults, so
+flags win and each value is cast by its flag's ``type``. A key that no
+subcommand takes a value for is an input error; other subcommands' keys pass.
+
 Exit codes: 0 success (including a reported collapse), 1 acceptance failure,
 2 input error, 3 numerical failure.
 """
@@ -29,21 +34,10 @@ EXIT_ACCEPT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-_DEFAULTS = {
-    "density": "uniform",
-    "out": "out",
-}
-
-# CLI/config key -> (AscentConfig field, cast); unset keys keep the field default
-_ASCENT_KEYS = {
-    "n_schedule": ("n_schedule", lambda v: tuple(float(x) for x in v.split(","))),
-    "damping": ("damping", float),
-    "max_iters": ("max_iters", int),
-    "tol": ("lam_tol", float),
-    "floor": ("floor", float),
-    "seed": ("seed", int),
-    "k": ("k_eigen", int),
-}
+# flag dest -> AscentConfig field; a flag left unset keeps the field's default
+_ASCENT_FIELDS = {"n_schedule": "n_schedule", "damping": "damping",
+                  "max_iters": "max_iters", "tol": "lam_tol", "floor": "floor",
+                  "seed": "seed", "k": "k_eigen"}
 
 _LATTICES = {"square": bench_mod.SQUARE, "equilateral": bench_mod.EQUILATERAL}
 
@@ -62,13 +56,20 @@ def _read_config_file(path):
     return values
 
 
-def _resolve(args, cfg_file, key, cast=str):
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    if key in cfg_file:
-        return cast(cfg_file[key])
-    return _DEFAULTS.get(key)
+def _apply_config(parsers, values):
+    """Make config values the defaults of the value-taking flags they name."""
+    taken = set()
+    for parser in parsers:
+        dests = {a.dest for a in parser._actions if a.option_strings and a.nargs != 0}
+        parser.set_defaults(**{k: v for k, v in values.items() if k in dests})
+        taken |= dests
+    unknown = sorted(values.keys() - taken)
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+
+
+def n_schedule(text):
+    return tuple(float(x) for x in text.split(","))
 
 
 def _build_mesh(gen, mesh_path):
@@ -102,11 +103,14 @@ def _density_init(spec):
     return np.asarray(data, dtype=float)
 
 
-def _ascent_config(args, cfg):
-    given = {key: _resolve(args, cfg, key) for key in _ASCENT_KEYS}
-    return AscentConfig(**{name: cast(given[key])
-                           for key, (name, cast) in _ASCENT_KEYS.items()
-                           if given[key] is not None})
+def _ascent_config(args):
+    return AscentConfig(**{name: getattr(args, key) for key, name in _ASCENT_FIELDS.items()
+                           if getattr(args, key, None) is not None})
+
+
+def _inputs(args):
+    """The mesh, the AscentConfig and the start density that args name."""
+    return _build_mesh(args.gen, args.mesh), _ascent_config(args), _density_init(args.density)
 
 
 def _write_csv(path, header, rows):
@@ -116,17 +120,15 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def cmd_spectrum(args, cfg):
-    mesh = _build_mesh(args.gen or cfg.get("gen"), args.mesh or cfg.get("mesh"))
-    config = _ascent_config(args, cfg)
+def cmd_spectrum(args):
+    mesh, config, init = _inputs(args)
     floor = config.floor / mesh.area
     cap = config.n_schedule[-1] / mesh.area
-    init = _density_init(str(_resolve(args, cfg, "density")))
     mu = make_initial_density(mesh, init, floor, cap, seed=config.seed)
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh, mu)
     result = solve_pencil(K, M, k=config.k_eigen, seed=config.seed)
-    out = Path(_resolve(args, cfg, "out"))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "spectrum.csv", ["index", "lambda", "residual", "cluster"],
                spectrum_rows(result))
@@ -146,12 +148,10 @@ def cmd_spectrum(args, cfg):
     return EXIT_OK
 
 
-def cmd_maximize(args, cfg):
-    mesh = _build_mesh(args.gen or cfg.get("gen"), args.mesh or cfg.get("mesh"))
-    config = _ascent_config(args, cfg)
-    init = _density_init(str(_resolve(args, cfg, "density")))
+def cmd_maximize(args):
+    mesh, config, init = _inputs(args)
     mu, spectral, frame, trace = maximize(mesh, init, config)
-    out = Path(_resolve(args, cfg, "out"))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header, rows = trace_csv_rows(trace)
     _write_csv(out / "trace.csv", header, rows)
@@ -175,12 +175,10 @@ def cmd_maximize(args, cfg):
     return EXIT_OK
 
 
-def cmd_bench(args, cfg):
-    out = Path(_resolve(args, cfg, "out"))
+def cmd_bench(args):
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = _resolve(args, cfg, "seed", int)
-    results = bench_mod.run_all(quick=args.quick,
-                                seed=AscentConfig.seed if seed is None else seed)
+    results = bench_mod.run_all(quick=args.quick, seed=args.seed)
     header = ["criterion", "pass", "value", "target", "detail"]
     rows = [[r.name, "PASS" if r.passed else "FAIL", r.value, r.target, r.detail]
             for r in results]
@@ -191,10 +189,12 @@ def cmd_bench(args, cfg):
     return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPT_FAIL
 
 
-def build_parser():
+def build_parser(config=None):
+    """The CLI's parser; ``config`` (key -> string) sets the subcommands' defaults."""
     p = argparse.ArgumentParser(prog="confmax",
                                 description="conformal eigenvalue maximization")
-    p.add_argument("--config", help="TOML-style key = value config file")
+    p.add_argument("--config", help="key = value file of flag defaults, "
+                                    "keyed by long flag name")
     sub = p.add_subparsers(dest="command", required=True)
     spectrum = sub.add_parser("spectrum")
     spectrum.set_defaults(func=cmd_spectrum)
@@ -206,32 +206,30 @@ def build_parser():
     for sp in (spectrum, maximize):
         sp.add_argument("--mesh")
         sp.add_argument("--gen")
-        sp.add_argument("--density")
+        sp.add_argument("--density", default="uniform")
         sp.add_argument("--floor", type=float, choices=(0.0, -0.5))
-        sp.add_argument("--n-schedule", dest="n_schedule")
-        sp.add_argument("-k", type=int, dest="k")
+        sp.add_argument("--n-schedule", type=n_schedule)
+        sp.add_argument("-k", type=int)
         sp.add_argument("--dump-matrices", action="store_true")
+        sp.add_argument("--seed", type=int)
     maximize.add_argument("--damping", type=float)
     maximize.add_argument("--tol", type=float)
-    maximize.add_argument("--max-iters", dest="max_iters", type=int)
-    for sp in (spectrum, maximize, bench):
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int)
+    maximize.add_argument("--max-iters", type=int)
+    bench.add_argument("--seed", type=int, default=AscentConfig.seed)
     bench.add_argument("--quick", action="store_true")
+    for sp in (spectrum, maximize, bench):
+        sp.add_argument("--out", default="out")
+    if config:
+        _apply_config((spectrum, maximize, bench), config)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cfg = {}
-    if args.config:
-        try:
-            cfg = _read_config_file(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
     try:
-        return args.func(args, cfg)
+        if args.config:  # parse again, with the file's values as defaults
+            args = build_parser(_read_config_file(args.config)).parse_args(argv)
+        return args.func(args)
     except (MeshError, DensityError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

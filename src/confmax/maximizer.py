@@ -162,11 +162,16 @@ def ascent_step(mesh, mu_k, config, K=None):
     return mu_next, spectral, frame, info
 
 
+def _at_cap(mu):
+    """Mask of the vertices where the density sits at its cap; none without a cap."""
+    if mu.cap is None:
+        return np.zeros(mu.values.shape, dtype=bool)
+    return mu.values >= mu.cap * (1.0 - 1e-6)
+
+
 def saturated_measure(mesh, mu):
     """Area of the set where the density sits at its cap."""
-    if mu.cap is None:
-        return 0.0
-    return float(mesh.vertex_areas[mu.values >= mu.cap * (1.0 - 1e-6)].sum())
+    return float(mesh.vertex_areas[_at_cap(mu)].sum())
 
 
 def negative_measure(mesh, mu):

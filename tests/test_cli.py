@@ -97,6 +97,13 @@ def test_maximize_schedule_from_the_mean_density(tmp_path):
     assert json.loads((out / "final.json").read_text())["status"] == "converged"
 
 
+def test_maximize_fully_saturated_schedule(tmp_path):
+    out = tmp_path / "run"
+    assert main(["maximize", "--gen", "icosphere:2", "--n-schedule", "1",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "certificate.json").read_text())["sphere_residual"] == 0.0
+
+
 def test_maximize_negative_floor(tmp_path):
     out = tmp_path / "run"
     rc = main(["maximize", "--gen", "icosphere:2", "--out", str(out),
@@ -177,15 +184,46 @@ def test_unknown_generator(tmp_path):
     assert rc == 2
 
 
+def _exit_code(argv):
+    # argparse refuses a bad flag value by raising SystemExit(2)
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_config_file_and_cli_precedence(tmp_path):
     cfgf = tmp_path / "run.cfg"
-    cfgf.write_text("gen = icosphere:2\nn-schedule = 4\nmax-iters = 5\n"
+    cfgf.write_text("gen = icosphere:2\nn-schedule = 4\nmax-iters = 5\ntol = 1e-3\n"
                     "out = {0}\n# a comment\n".format(tmp_path / "cfg_out"))
     rc = main(["--config", str(cfgf), "maximize",
-               "--out", str(tmp_path / "cli_out")])
+               "--out", str(tmp_path / "cli_out"), "--tol", "1e-5"])
     assert rc == 0
-    assert (tmp_path / "cli_out" / "final.json").exists()
     assert not (tmp_path / "cfg_out").exists()
+    config = json.loads((tmp_path / "cli_out" / "final.json").read_text())["config"]
+    assert config["n_schedule"] == [4.0]
+    assert config["max_iters"] == 5
+    assert config["lam_tol"] == 1e-5
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("maximize", "lam_tol = 0.5", "unknown config key(s): lam_tol"),
+    ("bench", "quick = false", "unknown config key(s): quick"),
+    ("maximize", "max-iters = x", "invalid int value: 'x'")])
+def test_bad_config_key_or_value_exits_2(tmp_path, capsys, command, line, message):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"gen = icosphere:1\nn-schedule = 4\n{line}\n")
+    assert _exit_code(["--config", str(cfgf), command,
+                       "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_key_of_another_subcommand_is_ignored(tmp_path):
+    # one file serves spectrum and maximize: spectrum leaves damping alone
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("gen = icosphere:1\ndamping = 0.25\n")
+    assert main(["--config", str(cfgf), "spectrum", "--out", str(tmp_path / "o")]) == 0
 
 
 def test_config_file_syntax_error(tmp_path, capsys):
@@ -196,7 +234,7 @@ def test_config_file_syntax_error(tmp_path, capsys):
 
 
 def test_ascent_defaults_come_from_ascent_config():
-    assert _ascent_config(build_parser().parse_args(["maximize"]), {}) == AscentConfig()
+    assert _ascent_config(build_parser().parse_args(["maximize"])) == AscentConfig()
 
 
 @pytest.mark.parametrize("argv", [["bench", "--dump-matrices"],

@@ -253,6 +253,14 @@ def test_maximize_attaches_certificate(sphere3):
     assert cert["bounds"]["hersch_floor_ok"]
 
 
+def test_fully_saturated_density_certifies(sphere2):
+    # at N = 1 the only feasible density is uniform at the cap: the sphere
+    # constraint binds nowhere, so its residual is over an empty set
+    mu, _, _, trace = maximize(sphere2, "uniform", AscentConfig(n_schedule=(1.0,)))
+    assert saturated_measure(sphere2, mu) == pytest.approx(sphere2.area)
+    assert trace.certificate["sphere_residual"] == 0.0
+
+
 def test_negative_floor_mode(sphere3):
     cfg = AscentConfig(n_schedule=(4.0,), floor=-0.5, max_iters=40)
     mu, spectral, _, trace = maximize(sphere3, "uniform", cfg)
