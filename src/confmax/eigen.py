@@ -1,29 +1,47 @@
 """Generalized symmetric pencil K u = lambda M u: smallest nonzero eigenpairs.
 
 The stiffness K does not depend on the density (the Dirichlet energy is a
-conformal invariant), so every solve on a mesh uses one sparse LU: the factor
-of K grounded at vertex 0, built on the first solve and held by the
-StiffnessMatrix. The grounded matrix is positive definite because meshes are
-connected. ARPACK's generalized mode 3 at sigma = 0 (Lehoucq, Sorensen and
-Yang, ARPACK Users' Guide, 1998) runs Lanczos on
+conformal invariant), so every solve on a mesh uses one factor: the banded
+Cholesky factor R of K grounded at vertex 0 in reverse Cuthill-McKee order,
+R^T R = P^T K_g P, built on the first solve and held by the StiffnessMatrix.
+The grounded matrix is positive definite because meshes are connected. With
 
-    OP x = Q K+ Q^T M x,    m = M 1,    Q = I - 1 m^T / (1^T m),
+    Z y = Q E P R^-1 y[1:],    m = M 1,    Q = I - 1 m^T / (1^T m),
 
-where K+ b solves the grounded system. Any operator whose inverse spectrum is
-the wanted one serves, not only (K - sigma M)^-1 M (the spectral
-transformation Lanczos method of Ericsson and Ruhe, 1980). Q^T makes the
-right-hand side sum to zero, so K z = Q^T M x is solvable, and Q fixes the
-constant the grounding leaves free by m^T z = 0. OP is M-self-adjoint and maps
-the constant to exactly 0. An eigenpair (lambda > 0, u) has m^T u =
-1^T K u / lambda = 0, hence Q^T M u = M u and OP u = u / lambda: the
-eigenvalues of OP are exactly the 1/lambda_i. This is not pinning a vertex,
-which would change the pencil; the constant is deflated by construction, so
-no Lanczos slot is spent on it.
+where E pads vertex 0 with a zero, Z Z^T = Q K+ Q^T with K+ b the grounded
+solve. Lanczos runs in ARPACK's standard mode (Lehoucq, Sorensen and Yang,
+ARPACK Users' Guide, 1998) on the symmetric positive semidefinite
+
+    S = Z^T M Z,
+
+one application of which is a triangular solve with R, an M product and a
+triangular solve with R^T. For every y, Z S y = (Q K+ Q^T M) Z y, and
+Q K+ Q^T M is an operator of the spectral transformation Lanczos method
+(Ericsson and Ruhe, 1980): an eigenpair S y = y / lambda lifts to the pencil
+eigenvector u = Z y. Q^T makes the right-hand side sum to zero, so the
+grounded solve solves K z = Q^T M x, and Q fixes the constant the grounding
+leaves free by m^T z = 0. An eigenpair (lambda > 0, u) has
+m^T u = 1^T K u / lambda = 0, hence Q^T M u = M u: the largest eigenvalues
+of S are exactly the 1/lambda_i, and the constant is deflated by
+construction, so no Lanczos slot is spent on it. Pinning a vertex instead
+would change the pencil.
+
+S is symmetric in the Euclidean inner product, so ARPACK asks for no mass
+products: in generalized mode it takes about three per application of its
+operator, to keep the Lanczos basis M-orthonormal. Here each pass's Ritz
+vectors are lifted by Z, and the merged block is made M-orthonormal once,
+after Lanczos.
+
+Slot 0 of y is dead: Z ignores it and S maps it to 0, so S keeps the size V
+of the pencil, a start vector has V entries and k may reach V - 1, the
+number of nonzero eigenvalues. The dead slot only adds a zero eigenvalue
+below every wanted one.
 
 Vertices where the density vanishes stay in the pencil. Their rows of M are
-zero and so are their entries of m, so (Q^T M x)_e = 0 on such a row e and
-every Lanczos vector z has (K z)_e = 0. The eigenvectors are therefore
-harmonic there, the weak form of -Delta u = lambda mu u where mu = 0.
+zero and so are their entries of m. A lifted eigenvector u = Z y = lambda Z S y
+= lambda Q K+ Q^T M u solves K u = lambda Q^T M u = lambda M u on every row,
+so (K u)_e = 0 on such a row e: the eigenvectors are harmonic there, the weak
+form of -Delta u = lambda mu u where mu = 0.
 
 Each solve runs two Lanczos passes from independent start vectors, merged by
 Rayleigh-Ritz: single-vector Lanczos can return an incomplete basis of a
@@ -31,14 +49,15 @@ degenerate eigenvalue, and the mesh symmetries here produce exact
 multiplicities routinely. The Krylov dimension is max(2k + 3, 20), ARPACK's
 default for k + 1 pairs rather than for k. The smaller space, max(2k + 1, 20)
 from k = 9 on, makes an incomplete basis of a degenerate cluster likelier: a
-variant of this operator with it missed one copy of the 5-fold second
-cluster of icosphere 3 (k = 9, seed 0).
+variant of this method with it missed one copy of the 5-fold second cluster
+of icosphere 3 (k = 9, seed 0).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 
@@ -102,6 +121,32 @@ def _check_inertia(M):
             "indefinite mass; reduce negative density or use floor=0")
 
 
+def _standard_operator(K, M):
+    """(S, lift): S = Z^T M Z as a LinearOperator and lift(y) = Z y.
+
+    y is one vector or a block of V rows; row 0 is the dead slot.
+    """
+    order, band = K.grounded_factor
+    Mmat = M.matrix
+    n = Mmat.shape[0]
+    m = np.asarray(Mmat.sum(axis=1)).ravel()  # M 1
+    mass = m.sum()
+
+    def lift(y):  # Q E P R^-1 y[1:]
+        x = np.zeros(y.shape)
+        x[order] = dtbtrs(band, y[1:])[0]
+        return x - (m @ x) / mass
+
+    def apply(y):  # Z^T M Z y
+        b = Mmat @ lift(y)
+        b -= m * (b.sum() / mass)  # Q^T
+        out = np.zeros(n)
+        out[1:] = dtbtrs(band, b[order], trans="T")[0]
+        return out
+
+    return LinearOperator((n, n), matvec=apply, dtype=float), lift
+
+
 def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
     """k smallest eigenpairs of K u = lambda M u above the deflated zero mode.
 
@@ -117,30 +162,20 @@ def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
         _check_inertia(Mmat)
 
     try:
-        lu = K.grounded_lu
-    except Exception as exc:  # singular factor
+        S, lift = _standard_operator(K, M)
+    except np.linalg.LinAlgError as exc:  # grounded K not positive definite
         raise EigenError(f"pencil solve failed: {exc}") from exc
-    m = np.asarray(Mmat.sum(axis=1)).ravel()  # M 1
-    mass = m.sum()
-
-    def project_solve(b):  # Q K+ Q^T b
-        b = np.ravel(b)
-        rhs = b - m * (b.sum() / mass)
-        z = np.concatenate([[0.0], lu.solve(rhs[1:])])
-        return z - (m @ z) / mass
-
-    OPinv = LinearOperator((n, n), matvec=project_solve, dtype=float)
     ncv = min(n, max(2 * k + 3, 20))
     rng = np.random.default_rng(seed)
     blocks = []
     for _ in range(2):
         v0 = rng.standard_normal(n)
         try:
-            _, bvec = eigsh(Kmat, k=k, M=Mmat, sigma=0.0, which="LM", v0=v0,
-                            ncv=ncv, tol=LANCZOS_TOL, maxiter=10000, OPinv=OPinv)
+            _, y = eigsh(S, k=k, which="LA", v0=v0, ncv=ncv, tol=LANCZOS_TOL,
+                         maxiter=10000)
         except Exception as exc:  # ARPACK non-convergence
             raise EigenError(f"pencil solve failed: {exc}") from exc
-        blocks.append(bvec)
+        blocks.append(lift(y))
     # M-orthonormalize the merged passes with a rank cutoff (they largely
     # duplicate each other), then Rayleigh-Ritz on the merged subspace
     U = np.hstack(blocks)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, spsolve
 
 import confmax.eigen
 import confmax.fem
@@ -109,39 +109,36 @@ def test_determinism(sphere2):
 
 def test_one_factorization_per_stiffness_matrix(sphere2, monkeypatch):
     # the stiffness does not depend on the density: three densities on one K
-    # share its single factor, and each solve runs two ARPACK passes on it
-    calls = {"splu": 0, "eigsh": []}
-    splu, eigsh = confmax.fem.splu, confmax.eigen.eigsh
+    # share its single factor, and each solve runs two ARPACK passes on it,
+    # none of which factors a shifted matrix of its own
+    calls = {"cholesky_banded": 0, "eigsh": []}
+    cholesky_banded, eigsh = confmax.fem.cholesky_banded, confmax.eigen.eigsh
 
-    def counting_splu(*args, **kwargs):
-        calls["splu"] += 1
-        return splu(*args, **kwargs)
+    def counting_cholesky(*args, **kwargs):
+        calls["cholesky_banded"] += 1
+        return cholesky_banded(*args, **kwargs)
 
     def counting_eigsh(*args, **kwargs):
-        calls["eigsh"].append("OPinv" in kwargs)
+        calls["eigsh"].append("sigma" in kwargs)
         return eigsh(*args, **kwargs)
-    monkeypatch.setattr(confmax.fem, "splu", counting_splu)
+    monkeypatch.setattr(confmax.fem, "cholesky_banded", counting_cholesky)
     monkeypatch.setattr(confmax.eigen, "eigsh", counting_eigsh)
     K = assemble_stiffness(sphere2)
     for mu in (uniform_density(sphere2), random_density(sphere2, 0),
                vanishing_density(sphere2, [0])):
         solve_pencil(K, assemble_mass(sphere2, mu), k=8)
-    assert calls == {"splu": 1, "eigsh": [True] * 6}
+    assert calls == {"cholesky_banded": 1, "eigsh": [False] * 6}
 
 
-def _count_lu_solves(monkeypatch):
-    """Count operator applications: calls to solve of every factor built."""
+def _count_applications(monkeypatch):
+    """Count operator applications: each makes one triangular solve with R^T."""
     count = [0]
-    splu = confmax.fem.splu
+    dtbtrs = confmax.eigen.dtbtrs
 
-    class Counting:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, rhs):
-            count[0] += 1
-            return self.lu.solve(rhs)
-    monkeypatch.setattr(confmax.fem, "splu", lambda *a, **kw: Counting(splu(*a, **kw)))
+    def counting(*args, **kwargs):
+        count[0] += kwargs.get("trans") == "T"
+        return dtbtrs(*args, **kwargs)
+    monkeypatch.setattr(confmax.eigen, "dtbtrs", counting)
     return count
 
 
@@ -149,7 +146,7 @@ def _count_lu_solves(monkeypatch):
 def test_lanczos_work_is_mesh_independent(k, sphere4, monkeypatch):
     # the operator's eigenvalues are the 1/lambda_i, which converge as the
     # mesh refines, so the Lanczos work does not grow with V
-    count = _count_lu_solves(monkeypatch)
+    count = _count_applications(monkeypatch)
     applications = []
     for mesh in (sphere4, gen_icosphere(5)):
         count[0] = 0
@@ -164,7 +161,7 @@ def test_lanczos_work_is_mesh_independent(k, sphere4, monkeypatch):
 def test_density_scale_changes_neither_spectrum_nor_work(k, sphere3, monkeypatch):
     K = assemble_stiffness(sphere3)
     mu = random_density(sphere3, 0).values
-    count = _count_lu_solves(monkeypatch)
+    count = _count_applications(monkeypatch)
     unit = solve_pencil(K, assemble_mass(sphere3, mu), k=k)
     unit_count = count[0]
     count[0] = 0
@@ -212,6 +209,39 @@ def test_grounded_factor_matches_shift_invert(sphere2, density):
     assert sin_theta <= 1e-6
 
 
+@pytest.mark.parametrize("density", ["uniform", "vanishing"])
+def test_standard_operator_lifts_to_the_projected_inverse(sphere2, density, monkeypatch):
+    # S = Z^T M Z is symmetric with a dead slot 0, and Z S y = Q K+ Q^T M Z y
+    # with K+ a direct solve of the grounded K; ARPACK runs it in standard
+    # mode, with no mass matrix and no operator of its own
+    mu = {"uniform": uniform_density(sphere2).values,
+          "vanishing": vanishing_density(sphere2, [0])}[density]
+    K, M = assemble_stiffness(sphere2), assemble_mass(sphere2, mu)
+    S, lift = confmax.eigen._standard_operator(K, M)
+    x, y = np.random.default_rng(0).standard_normal((2, sphere2.vertex_count))
+    Sx, Sy = S.matvec(x), S.matvec(y)
+    assert abs(x @ Sy - y @ Sx) <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(Sy)
+    assert Sx[0] == Sy[0] == 0.0
+    assert not S.matvec(np.eye(sphere2.vertex_count)[0]).any()
+
+    m = M.matrix @ np.ones(sphere2.vertex_count)
+    b = M.matrix @ lift(y)
+    b -= m * (b.sum() / m.sum())
+    z = np.concatenate([[0.0], spsolve(K.matrix[1:, 1:].tocsc(), b[1:])])
+    ref = z - (m @ z) / m.sum()
+    assert np.linalg.norm(lift(Sy) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    passes = []
+    eigsh = confmax.eigen.eigsh
+
+    def recording(*args, **kwargs):
+        passes.append({"M", "OPinv"} & kwargs.keys())
+        return eigsh(*args, **kwargs)
+    monkeypatch.setattr(confmax.eigen, "eigsh", recording)
+    solve_pencil(K, M, k=4)
+    assert passes == [set(), set()]
+
+
 def test_k_beyond_the_spectrum_is_an_input_error():
     mesh = gen_icosphere(0)  # V = 12: eleven nonzero eigenvalues
     K, M = assemble_stiffness(mesh), assemble_mass(mesh, uniform_density(mesh))
@@ -232,10 +262,10 @@ def test_sphere_clusters_hold_over_seeds(sphere3):
 
 
 def test_factorization_failure_is_eigen_error(sphere2, monkeypatch):
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-    monkeypatch.setattr(confmax.fem, "splu", singular)
-    with pytest.raises(EigenError, match="pencil solve failed: Factor is exactly singular"):
+    def indefinite(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+    monkeypatch.setattr(confmax.fem, "cholesky_banded", indefinite)
+    with pytest.raises(EigenError, match="pencil solve failed: not positive definite"):
         _solve_uniform(sphere2, 2)
 
 

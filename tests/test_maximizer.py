@@ -233,12 +233,12 @@ def test_maximize_sphere_reaches_round_value(sphere3):
 def test_maximize_factors_the_stiffness_once(sphere2, monkeypatch):
     # every solve of a run, line-search trials included, shares one factor
     calls = [0]
-    splu = confmax.fem.splu
+    cholesky_banded = confmax.fem.cholesky_banded
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return splu(*args, **kwargs)
-    monkeypatch.setattr(confmax.fem, "splu", counting)
+        return cholesky_banded(*args, **kwargs)
+    monkeypatch.setattr(confmax.fem, "cholesky_banded", counting)
     trace = maximize(sphere2, "random:0", AscentConfig())[3]
     assert len(trace.rows) > 1
     assert calls[0] == 1
