@@ -15,7 +15,13 @@ ARPACK Users' Guide, 1998) on the symmetric positive semidefinite
     S = Z^T M Z,
 
 one application of which is a triangular solve with R, an M product and a
-triangular solve with R^T. For every y, Z S y = (Q K+ Q^T M) Z y, and
+triangular solve with R^T. Since 1^T M 1 = 1^T m,
+
+    Q^T M Q = M - m m^T / (1^T m),
+
+so an application needs no projection of vectors: M and m, without vertex
+0 and in the factor's order once per solve, give the product and a rank-one
+update between the two solves. For every y, Z S y = (Q K+ Q^T M) Z y, and
 Q K+ Q^T M is an operator of the spectral transformation Lanczos method
 (Ericsson and Ruhe, 1980): an eigenpair S y = y / lambda lifts to the pencil
 eigenvector u = Z y. Q^T makes the right-hand side sum to zero, so the
@@ -46,11 +52,25 @@ form of -Delta u = lambda mu u where mu = 0.
 Each solve runs two Lanczos passes from independent start vectors, merged by
 Rayleigh-Ritz: single-vector Lanczos can return an incomplete basis of a
 degenerate eigenvalue, and the mesh symmetries here produce exact
-multiplicities routinely. The Krylov dimension is max(2k + 3, 20), ARPACK's
-default for k + 1 pairs rather than for k. The smaller space, max(2k + 1, 20)
-from k = 9 on, makes an incomplete basis of a degenerate cluster likelier: a
-variant of this method with it missed one copy of the 5-fold second cluster
-of icosphere 3 (k = 9, seed 0).
+multiplicities routinely. For k >= 2 the Krylov dimension is max(2k + 3, 20),
+ARPACK's default for k + 1 pairs rather than for k: the frame and the
+certificate read the whole leading cluster, and the smaller space,
+max(2k + 1, 20) from k = 9 on, makes an incomplete basis of a degenerate
+cluster likelier (a variant of this method with it missed one copy of the
+5-fold second cluster of icosphere 3, k = 9, seed 0). A k = 1 solve, a
+line-search trial, reads lambda_1 alone and runs in a space of
+LAMBDA1_KRYLOV = 8. ARPACK tests convergence only once it has built a full
+factorization, so a pass takes at least ncv + 1 applications. Where lambda_1
+stands well apart from the rest of the spectrum as one start vector sees it
+(at the uniform fixed points a degenerate lambda_1 shows it a single copy),
+Lanczos converges in far fewer than 20 steps, and the space of 8 halves the
+work: 18-34 applications per solve against 42-92. The floor is not dropped
+altogether: with 2k + 3 = 5 vectors a restart keeps too little of the space
+to resolve a nearly split cluster, and Lanczos stagnates on the trials of a
+tilted icosphere 3, up to 4800 applications per solve against 42. Over the
+trials of the benchmark workloads and of icospheres 2-3 and flat tori
+n = 16-24, the space of 8 takes at most 1.48x the applications of the space
+of 20 on any solve, and 7% fewer in total.
 """
 from __future__ import annotations
 
@@ -71,6 +91,7 @@ class IndefiniteMassError(EigenError):
 
 DEFAULT_REL_GAP = 0.02
 LANCZOS_TOL = 1e-10  # ARPACK relative accuracy of each Ritz value
+LAMBDA1_KRYLOV = 8  # Krylov dimension of a k = 1 solve (module docstring)
 
 
 @dataclass(frozen=True)
@@ -84,6 +105,7 @@ class SpectralResult:
     eigenvectors: np.ndarray         # (V, k), M-orthonormal
     residuals: np.ndarray            # (k,) relative residuals
     clusters: tuple                  # partition of range(k) by relative gap
+    applications: int                # operator applications, both passes
 
     @property
     def lambda1(self):
@@ -122,15 +144,24 @@ def _check_inertia(M):
 
 
 def _standard_operator(K, M):
-    """(S, lift): S = Z^T M Z as a LinearOperator and lift(y) = Z y.
+    """(S, lift, calls): S = Z^T M Z as a LinearOperator and lift(y) = Z y.
 
-    y is one vector or a block of V rows; row 0 is the dead slot.
+    y is one vector or a block of V rows; row 0 is the dead slot. Q^T M Q =
+    M - m m^T / (1^T m), so with M_g and m_g the rows and columns of M and m
+    of vertices 1..V-1 in the factor's order (taken once per operator),
+
+        S y = [0; R^-T (M_g z - m_g (m_g^T z) / (1^T m))],   z = R^-1 y[1:]:
+
+    two triangular solves, one sparse product and a rank-one update, with no
+    scatter, gather or zero-fill. calls[0] counts the applications.
     """
     order, band = K.grounded_factor
     Mmat = M.matrix
     n = Mmat.shape[0]
     m = np.asarray(Mmat.sum(axis=1)).ravel()  # M 1
     mass = m.sum()
+    Mg, mg = Mmat[order][:, order], m[order]
+    calls = [0]
 
     def lift(y):  # Q E P R^-1 y[1:]
         x = np.zeros(y.shape)
@@ -138,13 +169,14 @@ def _standard_operator(K, M):
         return x - (m @ x) / mass
 
     def apply(y):  # Z^T M Z y
-        b = Mmat @ lift(y)
-        b -= m * (b.sum() / mass)  # Q^T
-        out = np.zeros(n)
-        out[1:] = dtbtrs(band, b[order], trans="T")[0]
+        calls[0] += 1
+        z = dtbtrs(band, y[1:])[0]
+        out = np.empty(n)
+        out[0] = 0.0
+        out[1:] = dtbtrs(band, Mg @ z - mg * ((mg @ z) / mass), trans="T")[0]
         return out
 
-    return LinearOperator((n, n), matvec=apply, dtype=float), lift
+    return LinearOperator((n, n), matvec=apply, dtype=float), lift, calls
 
 
 def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
@@ -162,10 +194,10 @@ def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
         _check_inertia(Mmat)
 
     try:
-        S, lift = _standard_operator(K, M)
+        S, lift, calls = _standard_operator(K, M)
     except np.linalg.LinAlgError as exc:  # grounded K not positive definite
         raise EigenError(f"pencil solve failed: {exc}") from exc
-    ncv = min(n, max(2 * k + 3, 20))
+    ncv = min(n, LAMBDA1_KRYLOV if k == 1 else max(2 * k + 3, 20))
     rng = np.random.default_rng(seed)
     blocks = []
     for _ in range(2):
@@ -196,6 +228,7 @@ def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
         eigenvectors=vec,
         residuals=res,
         clusters=cluster_eigenvalues(lam, rel_gap),
+        applications=calls[0],
     )
 
 

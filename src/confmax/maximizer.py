@@ -73,6 +73,7 @@ class TraceRow:
     frame_steps: int   # select_frame steps at this iterate
     frame_stop: str    # select_frame stop reason at this iterate
     trials: int        # line-search pencil solves at this iterate
+    applications: int  # Lanczos operator applications of the iterate's solve and its trials
     wall_ms: float
 
 
@@ -128,9 +129,11 @@ def ascent_step(mesh, mu_k, config, K=None):
     Returns (mu_next, spectral_at_mu_k, frame_at_mu_k, info). info records the
     accepted step size (0.0 when every trial decreased lambda and the iterate
     was kept), the eigenvalue at the accepted density, the number of
-    line-search trials and "capped": whether any trial candidate reached the
-    cap. The solve at mu_k asks for config.k_eigen eigenpairs; each trial asks
-    for lambda_1 alone, the only value the safeguard compares.
+    line-search trials, "applications": the Lanczos operator applications of
+    the solve at mu_k and of the trials, and "capped": whether any trial
+    candidate reached the cap. The solve at mu_k asks for config.k_eigen
+    eigenpairs; each trial asks for lambda_1 alone, the only value the
+    safeguard compares.
     """
     if K is None:
         K = assemble_stiffness(mesh)
@@ -147,18 +150,22 @@ def ascent_step(mesh, mu_k, config, K=None):
     t = config.damping
     accepted = (lam_k, mu_k, 0.0)  # kept when every trial decreases lambda
     capped = False
+    applications = spectral.applications
     for trials in range(1, 8):  # initial step plus six halvings
         cand = project_density(mesh, (1.0 - t) * mu_k.values + t * nu.values,
                                floor, cap)
         capped = capped or bool(cand.values.max() >= cap)
-        lam_c = _solve(K, mesh, cand, config, 1).lambda1
+        trial = _solve(K, mesh, cand, config, 1)
+        applications += trial.applications
+        lam_c = trial.lambda1
         if lam_c >= lam_k - tol_abs:
             accepted = (lam_c, cand, t)
             break
         t *= 0.5
     lam_next, mu_next, t_used = accepted
     info = {"step": t_used, "lambda_next": lam_next, "lambda_k": lam_k,
-            "frame_obj": frame.objective, "trials": trials, "capped": capped}
+            "frame_obj": frame.objective, "trials": trials,
+            "applications": applications, "capped": capped}
     return mu_next, spectral, frame, info
 
 
@@ -273,7 +280,8 @@ def maximize(mesh, mu0, config=AscentConfig()):
                 ENeg_measure=negative_measure(mesh, mu_next),
                 step=info["step"], frame_obj=info["frame_obj"],
                 frame_steps=frame.iterations, frame_stop=frame.stop_reason,
-                trials=info["trials"], wall_ms=wall))
+                trials=info["trials"], applications=info["applications"],
+                wall_ms=wall))
             it_global += 1
             moved = info["step"] > 0.0
             lam_change = abs(info["lambda_next"] - info["lambda_k"])

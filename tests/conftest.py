@@ -73,3 +73,8 @@ def square_torus16():
 @pytest.fixture(scope="session")
 def eq_torus16():
     return gen_flat_torus(EQUILATERAL, 16, 16)
+
+
+@pytest.fixture(scope="session")
+def eq_torus24():
+    return gen_flat_torus(EQUILATERAL, 24, 24)

@@ -380,9 +380,33 @@ def test_make_initial_density_variants(sphere2):
             make_initial_density(sphere2, spec, 0.0, cap)
 
 
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_trace_rows_count_operator_applications(sphere2, monkeypatch):
+    # a row adds up the applications of its iterate's k_eigen solve and of
+    # its k = 1 trials; the final solve comes after the last row
+    solves = []
+    solve = confmax.maximizer.solve_pencil
+
+    def recording(K, M, k, **kwargs):
+        res = solve(K, M, k, **kwargs)
+        solves.append((k, res.applications))
+        return res
+    monkeypatch.setattr(confmax.maximizer, "solve_pencil", recording)
+    config = AscentConfig(n_schedule=(4.0,), max_iters=5)
+    trace = maximize(sphere2, "random:0", config)[3]
+    per_iterate = []
+    for k, applications in solves[:-1]:
+        if k == config.k_eigen:
+            per_iterate.append(0)
+        per_iterate[-1] += applications
+    assert len(per_iterate) == len(trace.rows) > 1
+    assert [row.applications for row in trace.rows] == per_iterate
+
+
 def test_trace_csv_rows_shape(sphere3):
     cfg = AscentConfig(n_schedule=(4.0,), max_iters=5)
     _, _, _, trace = maximize(sphere3, "uniform", cfg)
     header, rows = trace_csv_rows(trace)
     assert header[0] == "iter" and len(rows) == len(trace.rows)
+    assert "applications" in header
     assert all(len(r) == len(header) for r in rows)
