@@ -148,7 +148,8 @@ def _standard_operator(K, M):
 
     y is one vector or a block of V rows; row 0 is the dead slot. Q^T M Q =
     M - m m^T / (1^T m), so with M_g and m_g the rows and columns of M and m
-    of vertices 1..V-1 in the factor's order (taken once per operator),
+    of vertices 1..V-1 in the factor's order (gathered once per operator by
+    K.grounded),
 
         S y = [0; R^-T (M_g z - m_g (m_g^T z) / (1^T m))],   z = R^-1 y[1:]:
 
@@ -160,7 +161,7 @@ def _standard_operator(K, M):
     n = Mmat.shape[0]
     m = np.asarray(Mmat.sum(axis=1)).ravel()  # M 1
     mass = m.sum()
-    Mg, mg = Mmat[order][:, order], m[order]
+    Mg, mg = K.grounded(Mmat), m[order]
     calls = [0]
 
     def lift(y):  # Q E P R^-1 y[1:]

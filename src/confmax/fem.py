@@ -67,12 +67,13 @@ def random_density(mesh, seed):
 
 @dataclass(frozen=True)
 class StiffnessMatrix:
-    """Cotangent stiffness K and its grounded factor.
+    """Cotangent stiffness K, its grounded factor and its grounded gather.
 
     K's null space is the constants of a connected mesh, so K without vertex
     0's row and column is positive definite. Its factor, built on the first
     pencil solve, serves every solve on the mesh: the stiffness does not
-    depend on the density.
+    depend on the density. The mass matrices of the mesh share K's pattern,
+    so the gather that grounds and reorders one is planned once here too.
     """
     matrix: sparse.csr_matrix
 
@@ -101,6 +102,29 @@ class StiffnessMatrix:
         band = np.zeros((u + 1, grounded.shape[0]))
         band[u + i - j, j] = P.data[upper]
         return 1 + order, cholesky_banded(band)
+
+    @cached_property
+    def _grounded_gather(self):
+        """(take, indices, indptr) of the grounded, reordered CSR pattern.
+
+        Found once by sending entry numbers through the fancy indexing that
+        grounded() replaces, so the planned matrix has its pattern exactly.
+        """
+        order = self.grounded_factor[0]
+        K = self.matrix
+        slots = sparse.csr_matrix((np.arange(K.nnz), K.indices, K.indptr),
+                                  shape=K.shape)[order][:, order]
+        return slots.data, slots.indices, slots.indptr
+
+    def grounded(self, matrix):
+        """matrix[order][:, order] for the factor's order, by one gather.
+
+        matrix must be on K's CSR pattern, as every assemble_mass matrix of
+        the mesh is: both sum the same element blocks and keep zero sums.
+        """
+        take, indices, indptr = self._grounded_gather
+        n = len(indptr) - 1
+        return sparse.csr_matrix((matrix.data[take], indices, indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ quadratic form f(Q) = <Q, T Q> - 2 <G, Q> + A in the moments
 T_ab,cd = int v_a v_b v_c v_d and G_ab = int v_a v_b, built once per call, so
 each solver step costs O(m^4) whatever the mesh size. The solver is an
 accelerated projected gradient (FISTA) on the PSD cone with the fixed step
-1/L, L = 2 lambda_max(T), and function-value restart. It stops when the
-gradient mapping vanishes to a relative 1e-9 ("converged") or when a plain
+1/L, L = 2 lambda_max(T), and function-value restart. It starts at the PSD
+part of the unconstrained minimizer T^+ G, one m^2 x m^2 least-squares
+solve: where T^+ G is PSD it is the answer and the first step confirms it,
+and otherwise the clipped start lies near the optimum's face. It stops when
+the gradient mapping vanishes to a relative 1e-9 ("converged") or when a plain
 projected step right after a restart no longer lowers f by a relative 1e-15
 ("stagnated"), so a cluster that no PSD Q fits exactly still ends on a
 criterion rather than on the step cap. The resulting map
@@ -103,7 +106,19 @@ def select_frame(basis, mesh):
     discarded, Q goes back to the last accepted iterate and the momentum is
     reset (function-value restart, O'Donoghue-Candes 2015). f is tracked
     through exact differences <D, T D> + <grad, D>, so a change far below
-    round-off of f itself still has a sign. The loop stops on:
+    round-off of f itself still has a sign.
+
+    The loop starts at the PSD part of T^+ G, the minimum-norm solution of
+    the normal equations T q = G. It is symmetric: T = sum_q w_q k_q k_q^T
+    with every k_q = vec(v_q v_q^T) symmetric, so the range of T, where
+    the minimum-norm solution lies, holds only symmetric matrices, and G is
+    in it. T^+ G minimizes f over all symmetric Q, so when it is PSD it is
+    the constrained minimizer: the gradient vanishes there, and the first
+    step ends "converged". A first-step "converged" thus says the start was
+    optimal to the test's tolerance: T^+ G was PSD, or clipping its
+    negative eigenvalues landed on the optimum. Otherwise the clipped start
+    lies on or near the face of the cone that holds the optimum, and the
+    loop refines it there. The loop stops on:
 
     - "converged": the gradient mapping L ||Q+ - Y|| falls to
       CONVERGED_RTOL ||2 G||;
@@ -128,7 +143,7 @@ def select_frame(basis, mesh):
     L = 2.0 * float(np.linalg.eigvalsh(T)[-1])
     tol = CONVERGED_RTOL * 2.0 * float(np.linalg.norm(G))
 
-    q = (np.eye(m) / m).ravel()
+    q = _psd_clip(np.linalg.lstsq(T, G)[0].reshape(m, m)).ravel()
     r = T @ q - G                        # half the gradient at q
     f = float(q @ (r - G)) + mesh.area
     q_prev, y, t = q, q, 1.0

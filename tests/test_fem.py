@@ -8,7 +8,7 @@ from confmax.fem import (DensityError, DensityField, _element_blocks_psd,
                          assemble_mass, assemble_stiffness, gradient_field,
                          random_density, uniform_density)
 from confmax.mesh import TriangleMesh, gen_flat_torus
-from conftest import SQUARE
+from conftest import SQUARE, polar_cap, vanishing_density
 from test_mesh import regular_tetrahedron
 
 
@@ -157,3 +157,28 @@ def test_element_block_minors_match_eigenvalues():
     lo = np.linalg.eigvalsh(B)[:, 0]
     assert 0 < (lo >= 0).sum() < len(m)
     assert [_element_blocks_psd(m[i:i + 1]) for i in range(len(m))] == list(lo >= -1e-12)
+
+
+def _floor_density_with_zeros(mesh):
+    # zero on a polar cap and its one-ring, -0.5 / A (the negative floor) on
+    # every seventh of the other vertices: the mass matrix stores exact zeros
+    # and negative entries
+    mu = vanishing_density(mesh, polar_cap(mesh))
+    low = np.flatnonzero(mu > 0.0)[::7]
+    mu[low] = -0.5 / mesh.area
+    return mu / (mesh.vertex_areas @ mu)
+
+
+@pytest.mark.parametrize("density", ["random", "floor-with-zeros"])
+def test_grounded_gather_is_fancy_indexing(sphere3, density):
+    mu = (random_density(sphere3, 1).values if density == "random"
+          else _floor_density_with_zeros(sphere3))
+    K = assemble_stiffness(sphere3)
+    M = assemble_mass(sphere3, mu).matrix
+    order = K.grounded_factor[0]
+    planned, ref = K.grounded(M), M[order][:, order]
+    assert planned.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(planned, name), getattr(ref, name)), name
+    if density == "floor-with-zeros":
+        assert (ref.data == 0.0).any() and (ref.data < 0.0).any()
