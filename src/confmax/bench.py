@@ -105,7 +105,7 @@ def fixed_point_check(mesh, name, tol=1e-6, seed=0):
     cfg = AscentConfig(seed=seed)
     cap = cfg.n_schedule[-1] / A
     mu = uniform_density(mesh, floor=0.0, cap=cap)
-    mu_next, _, _, info = ascent_step(mesh, mu, cfg)
+    mu_next, _, _, info = ascent_step(mesh, mu, cfg, assemble_stiffness(mesh))
     dist = float(mesh.vertex_areas @ np.abs(mu_next.values - mu.values))
     return _result(f"{name} uniform fixed point", dist <= tol, dist,
                    f"L1 move <= {tol}", f"L1 move {dist:.3e}, step {info['step']}")

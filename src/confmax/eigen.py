@@ -135,8 +135,11 @@ def _check_inertia(M):
     Only reached when some element block is indefinite, which leaves the
     sum undecided.
     """
-    lo = float(eigsh(M, k=1, which="SA", return_eigenvectors=False,
-                     maxiter=5000)[0])
+    try:
+        lo = float(eigsh(M, k=1, which="SA", return_eigenvectors=False,
+                         maxiter=5000)[0])
+    except Exception as exc:  # ARPACK non-convergence
+        raise EigenError(f"mass inertia check failed: {exc}") from exc
     scale = abs(M.diagonal()).max()
     if lo < -1e-12 * scale:
         raise IndefiniteMassError(

@@ -39,6 +39,8 @@ class DensityField:
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.mesh.vertex_count,):
             raise DensityError("density must have one value per vertex")
+        if not np.all(np.isfinite(vals)):
+            raise DensityError("density values must be finite")
         slack = 1e-9
         if self.floor is not None and np.any(vals < self.floor - slack):
             raise DensityError(f"density below floor {self.floor}")

@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .eigen import DEFAULT_REL_GAP, solve_pencil
-from .fem import (DensityField, assemble_mass, assemble_stiffness,
+from .fem import (DensityError, DensityField, assemble_mass, assemble_stiffness,
                   random_density, uniform_density)
 from .frame import recover_density, select_frame
 
@@ -53,12 +53,16 @@ class AscentConfig:
         if not self.n_schedule or self.n_schedule[0] < 1.0:
             raise ValueError("n_schedule must be non-empty and start at >= 1 "
                              "(a cap below the mean density cannot carry unit mass)")
+        if not np.all(np.isfinite(self.n_schedule)):
+            raise ValueError("n_schedule entries must be finite")
         if not all(b > a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
             raise ValueError("n_schedule must be strictly increasing")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.floor not in (0.0, -0.5):
             raise ValueError("floor must be 0 or -0.5")
+        if not 0.0 <= self.lam_tol < np.inf:
+            raise ValueError("lam_tol must be finite and >= 0")
 
 
 @dataclass
@@ -123,20 +127,18 @@ def _solve(K, mesh, density, config, k):
                         rel_gap=config.rel_gap, seed=config.seed)
 
 
-def ascent_step(mesh, mu_k, config, K=None):
+def ascent_step(mesh, mu_k, config, K):
     """One damped fixed-point step with the eigenvalue-ascent safeguard.
 
-    Returns (mu_next, spectral_at_mu_k, frame_at_mu_k, info). info records the
-    accepted step size (0.0 when every trial decreased lambda and the iterate
-    was kept), the eigenvalue at the accepted density, the number of
-    line-search trials, "applications": the Lanczos operator applications of
-    the solve at mu_k and of the trials, and "capped": whether any trial
-    candidate reached the cap. The solve at mu_k asks for config.k_eigen
-    eigenpairs; each trial asks for lambda_1 alone, the only value the
-    safeguard compares.
+    K is the run's StiffnessMatrix. Returns (mu_next, spectral_at_mu_k,
+    frame_at_mu_k, info). info records the accepted step size (0.0 when every
+    trial decreased lambda and the iterate was kept), the eigenvalue at the
+    accepted density, the number of line-search trials, "applications": the
+    Lanczos operator applications of the solve at mu_k and of the trials, and
+    "capped": whether any trial candidate reached the cap. The solve at mu_k
+    asks for config.k_eigen eigenpairs; each trial asks for lambda_1 alone,
+    the only value the safeguard compares.
     """
-    if K is None:
-        K = assemble_stiffness(mesh)
     floor, cap = mu_k.floor, mu_k.cap
     spectral = _solve(K, mesh, mu_k, config, config.k_eigen)
     frame = select_frame(spectral.cluster_basis(0), mesh)
@@ -163,8 +165,7 @@ def ascent_step(mesh, mu_k, config, K=None):
             break
         t *= 0.5
     lam_next, mu_next, t_used = accepted
-    info = {"step": t_used, "lambda_next": lam_next, "lambda_k": lam_k,
-            "frame_obj": frame.objective, "trials": trials,
+    info = {"step": t_used, "lambda_next": lam_next, "trials": trials,
             "applications": applications, "capped": capped}
     return mu_next, spectral, frame, info
 
@@ -231,6 +232,9 @@ def make_initial_density(mesh, init, floor, cap, seed=0):
             raise ValueError(f"unknown density init {init!r}")
     else:
         vals = np.asarray(init, dtype=float)
+    if vals.shape != (mesh.vertex_count,) or not np.all(np.isfinite(vals)):
+        raise DensityError(f"density must hold {mesh.vertex_count} finite values, "
+                           "one per vertex")
     return project_density(mesh, vals, floor, cap)
 
 
@@ -250,57 +254,46 @@ def maximize(mesh, mu0, config=AscentConfig()):
     from .certify import certificate  # local import: certify depends on this module
 
     K = assemble_stiffness(mesh)
-    A = mesh.area
-    floor = config.floor / A
+    floor = config.floor / mesh.area
     trace = AscentTrace()
-    sat_constant = 0.0
-    mu = None
-    spectral = frame = None
-    it_global = 0
-    status = "converged"
+    mu = mu0
     settled = False  # a stage ended on a rejected step that no cap could bind
 
     for n_rel in config.n_schedule:
-        cap = n_rel / A
-        if mu is None:
-            mu = make_initial_density(mesh, mu0, floor, cap, seed=config.seed)
-        else:
-            mu = project_density(mesh, mu.values, floor, cap)
+        cap = n_rel / mesh.area
+        mu = make_initial_density(mesh, mu, floor, cap, seed=config.seed)
         if settled:
             trace.skipped_stages.append(n_rel)
         converged = settled
         for _ in range(0 if settled else config.max_iters):
             t0 = time.perf_counter()
-            mu_next, spectral, frame, info = ascent_step(mesh, mu, config, K=K)
+            mu_next, spectral, frame, info = ascent_step(mesh, mu, config, K)
             wall = (time.perf_counter() - t0) * 1e3
             trace.rows.append(TraceRow(
-                iter=it_global, N=n_rel,
+                iter=len(trace.rows), N=n_rel,
                 lambda1_area=info["lambda_next"],
                 EN_measure=saturated_measure(mesh, mu_next),
                 ENeg_measure=negative_measure(mesh, mu_next),
-                step=info["step"], frame_obj=info["frame_obj"],
+                step=info["step"], frame_obj=frame.objective,
                 frame_steps=frame.iterations, frame_stop=frame.stop_reason,
                 trials=info["trials"], applications=info["applications"],
                 wall_ms=wall))
-            it_global += 1
             moved = info["step"] > 0.0
-            lam_change = abs(info["lambda_next"] - info["lambda_k"])
+            lam_change = abs(info["lambda_next"] - spectral.lambda1)
             mu = mu_next
-            if not moved or lam_change <= config.lam_tol * info["lambda_k"]:
+            if not moved or lam_change <= config.lam_tol * spectral.lambda1:
                 converged = True
                 settled = not moved and not info["capped"]
                 break
         if not converged:
-            status = "iteration-cap"
-        sat_constant = max(sat_constant, saturated_measure(mesh, mu) * cap)
+            trace.status = "iteration-cap"
+        trace.saturation_constant = max(trace.saturation_constant,
+                                        saturated_measure(mesh, mu) * cap)
 
     spectral = _solve(K, mesh, mu, config, config.k_eigen)
     frame = select_frame(spectral.cluster_basis(0), mesh)
-    collapse = detect_collapse(mu, mesh)
-    if collapse["flag"]:
-        status = "collapse"
-    trace.status = status
-    trace.saturation_constant = sat_constant
+    if detect_collapse(mu, mesh)["flag"]:
+        trace.status = "collapse"
     trace.certificate = certificate(mesh, mu, spectral, frame, K)
     return mu, spectral, frame, trace
 

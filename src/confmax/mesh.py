@@ -67,24 +67,18 @@ class TriangleMesh:
     vertex_areas : (V,) float array, a third of each incident triangle's area
     cotangents : (F, 3) float array, cotangent of the angle at each corner
     genus : int
-    embedding : optional (V, 3) float array reproducing edge_lengths
+    embedding : (V, 3) float array the lengths were measured on (from_embedding), or None
 
     All are set at construction; nothing is cached on the mesh afterwards.
     """
 
-    def __init__(self, vertex_count, triangles, edge_lengths, embedding=None):
+    def __init__(self, vertex_count, triangles, edge_lengths):
         self.vertex_count = int(vertex_count)
         self.triangles = _as_triangles(triangles, self.vertex_count)
         self._build_edges(edge_lengths)
         self._build_geometry()  # raises on triangle-inequality violations
         self._validate_manifold()
         self.embedding = None
-        if embedding is not None:
-            emb = np.asarray(embedding, dtype=float)
-            if emb.shape != (self.vertex_count, 3):
-                raise MeshError("embedding must be (V, 3)")
-            self._check_embedding(emb)
-            self.embedding = emb
 
     # -- construction helpers -------------------------------------------------
 
@@ -92,11 +86,14 @@ class TriangleMesh:
     def from_embedding(cls, vertices, triangles):
         """Build from 3D positions; edge lengths derived from the embedding."""
         vertices = np.asarray(vertices, dtype=float)
+        if vertices.ndim != 2 or vertices.shape[1] != 3:
+            raise MeshError("embedding must be (V, 3)")
         triangles = _as_triangles(triangles, len(vertices))
         tail, head = _corner_pairs(triangles)
         lengths = np.linalg.norm(vertices[tail] - vertices[head], axis=1)
-        return cls(len(vertices), triangles, np.column_stack([tail, head, lengths]),
-                   embedding=vertices)
+        mesh = cls(len(vertices), triangles, np.column_stack([tail, head, lengths]))
+        mesh.embedding = vertices
+        return mesh
 
     def _build_edges(self, edge_lengths):
         tris, V = self.triangles, self.vertex_count
@@ -120,6 +117,10 @@ class TriangleMesh:
         # other length given for it must agree with that one
         order = np.lexsort((rows[:, 2], key))
         key, given = key[order], rows[order, 2]
+        finite = np.isfinite(given)
+        if not finite.all():
+            i, j = divmod(key[int(np.argmin(finite))], V)
+            raise MeshError(f"non-finite length on edge ({i},{j})")
         first = np.diff(key, prepend=-1) != 0
         kept = given[first][np.cumsum(first) - 1]
         close = np.abs(given - kept) <= 1e-12 * np.maximum(np.abs(given), np.abs(kept))
@@ -197,14 +198,6 @@ class TriangleMesh:
         np.add.at(va, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
         self.vertex_areas = va
         self.area = float(self.areas.sum())
-
-    def _check_embedding(self, emb):
-        d = np.linalg.norm(emb[self.edges[:, 0]] - emb[self.edges[:, 1]], axis=1)
-        rel = np.abs(d - self.edge_lengths) / self.edge_lengths
-        if np.any(rel >= 1e-12):
-            e = int(np.argmax(rel))
-            raise MeshError(
-                f"embedding does not reproduce stored length on edge {tuple(self.edges[e])}")
 
 
 def mesh_stats(mesh):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -245,13 +246,22 @@ def test_flag_not_read_by_subcommand_rejected(argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("case", ["icosphere", "flat-torus:square", "density-no-key",
+_BAD_DENSITIES = {  # icosphere:2 has 162 vertices
+    "density-no-key": {"vertices": 162},
+    "density-too-long": [1.0] * 167,
+    "density-not-per-vertex": [[1.0, 1.0]] * 162,
+    "density-nan": [math.nan] * 162,
+    "density-minus-inf": [-math.inf] + [1.0] * 161,
+}
+
+
+@pytest.mark.parametrize("case", ["icosphere", "flat-torus:square", *_BAD_DENSITIES,
                                   "off-face-out-of-range"])
 def test_malformed_input_exits_with_input_error(tmp_path, capsys, case):
     argv = ["spectrum", "--out", str(tmp_path / "o")]
-    if case == "density-no-key":
+    if case in _BAD_DENSITIES:
         dens = tmp_path / "dens.json"
-        dens.write_text(json.dumps({"vertices": 162}))
+        dens.write_text(json.dumps(_BAD_DENSITIES[case]))
         argv += ["--gen", "icosphere:2", "--density", str(dens)]
     elif case == "off-face-out-of-range":
         off = tmp_path / "bad.off"

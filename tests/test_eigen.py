@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, eigsh, spsolve
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, spsolve
 
 import confmax.eigen
 import confmax.fem
@@ -360,6 +360,20 @@ def test_indefinite_blocks_fall_back_to_global_check(sphere2):
     assert np.linalg.eigvalsh(M.matrix.toarray())[0] > 0
     res = solve_pencil(assemble_stiffness(sphere2), M, k=2)
     assert np.all(res.eigenvalues > 0)
+
+
+def test_inertia_check_failure_is_eigen_error(sphere2, monkeypatch):
+    mu = uniform_density(sphere2).values.copy()
+    mu[::7] *= -0.2
+    M = assemble_mass(sphere2, mu)
+    assert not M.psd_blocks
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                  np.empty((0, 0)))
+    monkeypatch.setattr(confmax.eigen, "eigsh", no_convergence)
+    with pytest.raises(EigenError, match="mass inertia check failed: .*No convergence"):
+        solve_pencil(assemble_stiffness(sphere2), M, k=2)
 
 
 @pytest.mark.parametrize("mesh, zero", [

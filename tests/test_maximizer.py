@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import dijkstra
 import confmax.fem
 import confmax.maximizer
 from confmax.bench import saturation_check
-from confmax.fem import DensityField, random_density, uniform_density
+from confmax.fem import DensityField, assemble_stiffness, random_density, uniform_density
 from confmax.frame import recover_density
 from confmax.maximizer import (AscentConfig, ProjectionError, ascent_step,
                                detect_collapse, make_initial_density, maximize,
@@ -31,6 +31,13 @@ def test_config_validation():
         AscentConfig(n_schedule=())
     with pytest.raises(ValueError):
         AscentConfig(n_schedule=(0.5,))  # a cap of N/A < 1/A cannot carry unit mass
+    for bad in ((math.nan,), (4.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            AscentConfig(n_schedule=bad)
+    for bad in (math.nan, math.inf, -1e-7):
+        with pytest.raises(ValueError, match="lam_tol"):
+            AscentConfig(lam_tol=bad)
+    assert AscentConfig(lam_tol=0.0).lam_tol == 0.0
 
 
 def test_projection_box_and_mass(sphere3):
@@ -87,7 +94,7 @@ def test_uniform_sphere_is_fixed_point(sphere3):
     cfg = AscentConfig()
     cap = cfg.n_schedule[0] / sphere3.area
     mu = project_density(sphere3, uniform_density(sphere3).values, 0.0, cap)
-    mu_next, _, _, info = ascent_step(sphere3, mu, cfg)
+    mu_next, _, _, info = ascent_step(sphere3, mu, cfg, assemble_stiffness(sphere3))
     move = sphere3.vertex_areas @ np.abs(mu_next.values - mu.values)
     assert move < 1e-6
 
@@ -96,19 +103,19 @@ def test_uniform_sphere_is_fixed_point(sphere3):
 def test_ascent_step_reports_capped_trials(sphere3):
     loose = project_density(sphere3, uniform_density(sphere3).values, 0.0,
                             4.0 / sphere3.area)
-    assert not ascent_step(sphere3, loose, AscentConfig())[3]["capped"]
+    K = assemble_stiffness(sphere3)
+    assert not ascent_step(sphere3, loose, AscentConfig(), K)[3]["capped"]
     tight = project_density(sphere3, tilted_density(sphere3, 43000).values, 0.0,
                             1.1 / sphere3.area)
-    assert ascent_step(sphere3, tight, AscentConfig(seed=43000))[3]["capped"]
+    assert ascent_step(sphere3, tight, AscentConfig(seed=43000), K)[3]["capped"]
 
 
 def test_ascent_step_monotone(sphere3):
     cfg = AscentConfig(seed=1)
     cap = 4.0 / sphere3.area
     mu = project_density(sphere3, random_density(sphere3, 7).values, 0.0, cap)
-    _, spectral, _, info = ascent_step(sphere3, mu, cfg)
-    assert info["lambda_next"] >= info["lambda_k"] * (1.0 - 1e-12)
-    assert info["lambda_k"] == pytest.approx(spectral.lambda1)
+    _, spectral, _, info = ascent_step(sphere3, mu, cfg, assemble_stiffness(sphere3))
+    assert info["lambda_next"] >= spectral.lambda1 * (1.0 - 1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:sphere constraint unattained")
@@ -119,7 +126,7 @@ def test_vanishing_region_is_not_absorbing(sphere3):
     mu = project_density(sphere3, vanishing_density(sphere3, cap), 0.0,
                          AscentConfig().n_schedule[0] / sphere3.area)
     assert cap.size == 61
-    _, _, frame, _ = ascent_step(sphere3, mu, AscentConfig())
+    _, _, frame, _ = ascent_step(sphere3, mu, AscentConfig(), assemble_stiffness(sphere3))
     assert recover_density(sphere3, frame).values[cap].min() > 0.0
 
 
@@ -140,7 +147,7 @@ def test_trials_solve_for_lambda1_alone(sphere3, monkeypatch):
     cfg = AscentConfig(seed=1)
     mu = project_density(sphere3, random_density(sphere3, 7).values, 0.0,
                          4.0 / sphere3.area)
-    _, spectral, _, info = ascent_step(sphere3, mu, cfg)
+    _, spectral, _, info = ascent_step(sphere3, mu, cfg, assemble_stiffness(sphere3))
     assert info["trials"] == 3  # t = 1/2 and 1/4 rejected, t = 1/8 accepted
     assert asked == [cfg.k_eigen, 1, 1, 1]
     assert len(spectral.eigenvalues) == cfg.k_eigen

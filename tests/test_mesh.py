@@ -116,6 +116,16 @@ def test_off_icosahedron_roundtrip(tmp_path):
     assert loaded.genus == 0
 
 
+def test_from_embedding_refuses_bad_coordinates():
+    m = gen_icosphere(0)
+    with pytest.raises(MeshError, match="embedding must be"):
+        TriangleMesh.from_embedding(m.embedding[:, :2], m.triangles)
+    verts = m.embedding.copy()
+    verts[0, 1] = math.nan
+    with pytest.raises(MeshError, match=r"^non-finite length on edge \(0,1\)$"):
+        TriangleMesh.from_embedding(verts, m.triangles)
+
+
 def test_off_nonmanifold_reports_edge(tmp_path):
     # two triangles glued along an edge: open boundary everywhere
     p = tmp_path / "bad.off"
@@ -221,6 +231,8 @@ def _rejection_case(case):
         lengths.append([j, i, 1.5 * l])
     elif case == "non-positive-length":
         lengths[0] = [i, j, 0.0]
+    elif case == "non-finite-length":
+        lengths[0] = [i, j, math.nan]
     elif case == "missing-length":
         del lengths[0]
     elif case == "length-on-a-non-edge":
@@ -248,6 +260,7 @@ def _rejection_case(case):
 @pytest.mark.parametrize("case, message", [
     ("conflicting-length", "conflicting lengths for edge (0,1)"),
     ("non-positive-length", "non-positive length on edge (0,1)"),
+    ("non-finite-length", "non-finite length on edge (0,1)"),
     ("missing-length", "missing edge length for edge (0,1) of triangle 1"),
     ("length-on-a-non-edge", "length given for (0,3), not an edge of any triangle"),
     ("length-out-of-range", "length given for (0,200), not an edge of any triangle"),
