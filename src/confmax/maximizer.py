@@ -201,15 +201,16 @@ def detect_collapse(mu, mesh):
     is kept between calls, so memory is O(V + _SLAB).
     """
     v = mesh.vertex_count
-    g = csr_matrix((mesh.edge_lengths, mesh.edges.T), shape=(v, v))  # i < j; undirected search
-    far = int(np.argmax(dijkstra(g, directed=False, indices=0)))
-    diam = float(dijkstra(g, directed=False, indices=far).max())
+    g = csr_matrix((mesh.edge_lengths, mesh.edges.T), shape=(v, v))  # i < j
+    g = (g + g.T).tocsr()  # both directions once: a directed search is cheaper per call
+    far = int(np.argmax(dijkstra(g, indices=0)))
+    diam = float(dijkstra(g, indices=far).max())
     limit = COLLAPSE_RADIUS * diam
     vmass = mu.values * mesh.vertex_areas
     block = max(1, _SLAB // v)
     heaviest = -np.inf
     for s in range(0, v, block):
-        d = dijkstra(g, directed=False, indices=np.arange(s, min(s + block, v)), limit=limit)
+        d = dijkstra(g, indices=np.arange(s, min(s + block, v)), limit=limit)
         hit = np.flatnonzero(d <= limit)  # row-major: by source, then by vertex
         indptr = np.concatenate([[0], np.cumsum(np.bincount(hit // v, minlength=len(d)))])
         ball = csr_matrix((np.ones(len(hit), dtype=bool), (hit % v).astype(np.int32), indptr),

@@ -358,6 +358,10 @@ def load_mesh(path):
         raise MeshError(f"{path}: 'triangles' must be a list of integer triples")
     if not _triples(lengths):
         raise MeshError(f"{path}: 'edge_lengths' must be a list of [i, j, length] triples")
+    for r, (i, j, _) in enumerate(lengths):
+        if type(i) is not int or type(j) is not int:
+            raise MeshError(f"{path}: 'edge_lengths' row {r}: endpoints {i}, {j} "
+                            "are not integer vertex indices")
     return TriangleMesh(count, np.array(tris), lengths)
 
 

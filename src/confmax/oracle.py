@@ -1,16 +1,21 @@
 """Brute-force cross-check for the torus maximizer.
 
 Deliberately independent of the main pipeline: it shares no assembly code
-with `confmax.fem` or `confmax.mesh`. Its own dense assembly on a structured
-square-torus grid (the stiffness once per call, since it does not depend on
-the density; the density-weighted mass at every step), a dense generalized
-eigensolver for the leading eigenpairs, and a plain projected-subgradient
-ascent with random restarts. Small grids only.
+with `confmax.fem` or `confmax.mesh` and imports nothing from
+`confmax.maximizer`. Its own dense assembly on a structured square-torus grid
+(the stiffness once per call, since it does not depend on the density; the
+density-weighted mass at every step), and a plain projected-subgradient ascent
+with random restarts. Each trial is projected into the box by an exact
+breakpoint solve for the mass-restoring shift, and is decided by one dense
+Cholesky inertia test ("does it raise lambda1?"); only a trial that passes
+runs the dense generalized eigensolver for the leading eigenpairs, which
+gives the new lambda1 and subgradient. Small grids only.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dpotrf
 
 _EIGS = 13  # eigenpairs computed per step, the constant mode included
 _CAP = 64.0  # density cap; the unit-area torus has mean density 1
@@ -64,19 +69,22 @@ def _vertex_areas(n):
 
 
 def _project(values, areas, cap):
-    """Clip to [0, cap] and restore unit mass by bisection on a scalar shift."""
-    lo = -values.max() - 1.0
-    hi = cap + 1.0
-    for _ in range(200):
-        c = 0.5 * (lo + hi)
-        if c == lo or c == hi:  # interval at one ulp: later passes change nothing
-            break
-        m = areas @ np.clip(values + c, 0.0, cap)
-        if m < 1.0:
-            lo = c
-        else:
-            hi = c
-    return np.clip(values + 0.5 * (lo + hi), 0.0, cap)
+    """Clip to [0, cap] and restore unit mass by an exact scalar shift c.
+
+    The mass of clip(values + c, 0, cap) is piecewise linear and nondecreasing
+    in c, with a knot where each vertex leaves 0 (c = -v) and where it reaches
+    the cap (c = cap - v); c is solved for on the segment where it crosses 1.
+    """
+    knots = np.concatenate([-values, cap - values])
+    order = np.argsort(knots, kind="stable")
+    t = knots[order]
+    slope = np.cumsum(np.concatenate([areas, -areas])[order])  # on [t_k, t_k+1]
+    mass = np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(t))])  # at t_k
+    k = np.searchsorted(mass, 1.0) - 1  # the last knot with mass below 1
+    c = t[k] + (1.0 - mass[k]) / slope[k]
+    # one Newton step on the directly summed mass removes the cumsum round-off
+    c += (1.0 - areas @ np.clip(values + c, 0.0, cap)) / slope[k]
+    return np.clip(values + c, 0.0, cap)
 
 
 def _lambda_and_grad(K, M, areas, cluster_gap=0.02):
@@ -91,8 +99,30 @@ def _lambda_and_grad(K, M, areas, cluster_gap=0.02):
     return lam, -lam * areas * np.mean(vecs[:, 1:1 + count] ** 2, axis=1)
 
 
+def _raises_lambda1(K, M, lam):
+    """Whether lambda1 of the pencil (K, M + 1e-13 I) exceeds lam > 0.
+
+    The rank-one term (2 lam / mass) m m^T, m = M_c 1, moves the constant
+    mode to pencil value 2 lam and leaves every other eigenpair in place, so
+    by Sylvester's law of inertia A = K + (2 lam / mass) m m^T - lam M_c is
+    positive definite exactly when lambda1 > lam: one Cholesky decides it.
+    """
+    Mc = M + 1e-13 * np.eye(len(M))
+    m = Mc.sum(axis=1)
+    A = K - lam * Mc + (2.0 * lam / m.sum()) * np.outer(m, m)
+    return dpotrf(A, overwrite_a=True)[1] == 0  # info > 0: not positive definite
+
+
 def brute_force_torus_max(n=12, restarts=20, seed=0):
-    """Best lambda1 * area over the box-and-mass set, by restarted ascent."""
+    """Best lambda1 * area over the box-and-mass set, by restarted ascent.
+
+    A trial step is accepted when it raises lambda1: the Cholesky inertia test
+    rejects the others without an eigensolve, and a trial that passes is
+    accepted once the eigensolve agrees (the two differ only at round-off
+    ties). An accepted step grows the step length by 1.3, a rejected one
+    halves it, and a restart stops once the step falls below 1e-12 or after
+    _ITERS trials.
+    """
     rng = np.random.default_rng(seed)
     grid = _Grid(n)
     K = grid.stiffness()
@@ -104,13 +134,15 @@ def brute_force_torus_max(n=12, restarts=20, seed=0):
         alpha = 0.1 / max(np.abs(grad).max(), 1e-12)
         for _ in range(_ITERS):
             cand = _project(mu + alpha * grad, areas, _CAP)
-            lam_c, grad_c = _lambda_and_grad(K, grid.mass(cand), areas)
-            if lam_c > lam:
-                mu, lam, grad = cand, lam_c, grad_c
-                alpha *= 1.3
-            else:
-                alpha *= 0.5
-                if alpha * np.abs(grad).max() < 1e-12:
-                    break
+            M = grid.mass(cand)
+            if _raises_lambda1(K, M, lam):
+                lam_c, grad_c = _lambda_and_grad(K, M, areas)
+                if lam_c > lam:  # the eigensolve agrees, up to round-off ties
+                    mu, lam, grad = cand, lam_c, grad_c
+                    alpha *= 1.3
+                    continue
+            alpha *= 0.5
+            if alpha * np.abs(grad).max() < 1e-12:
+                break
         best = max(best, lam)
     return best

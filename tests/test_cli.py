@@ -11,7 +11,7 @@ from confmax.bench import BenchResult
 from confmax.cli import _ascent_config, build_parser, main
 from confmax.eigen import EigenError
 from confmax.maximizer import AscentConfig
-from confmax.mesh import gen_icosphere, mesh_stats
+from confmax.mesh import gen_icosphere, mesh_stats, save_intrinsic_json
 from conftest import disjoint_sphere_and_torus
 
 
@@ -136,7 +136,8 @@ def test_bad_mesh_file_reports_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["disconnected", "vertices-not-an-integer",
-                                  "triangles-not-triples", "not-an-object"])
+                                  "triangles-not-triples", "not-an-object",
+                                  "fractional-endpoints"])
 def test_bad_intrinsic_mesh_exits_with_input_error(tmp_path, capsys, case):
     # a disconnected mesh has one zero eigenvalue per part, so no lambda1 to report
     data = disjoint_sphere_and_torus()
@@ -146,6 +147,11 @@ def test_bad_intrinsic_mesh_exits_with_input_error(tmp_path, capsys, case):
         data["triangles"][3] = data["triangles"][3][:2]
     elif case == "not-an-object":
         data = 3
+    elif case == "fractional-endpoints":
+        # a connected sphere that would load if [i + 0.25, j + 0.25] read as [i, j]
+        save_intrinsic_json(gen_icosphere(1), tmp_path / "sphere.json")
+        data = json.loads((tmp_path / "sphere.json").read_text())
+        data["edge_lengths"][0][:2] = [i + 0.25 for i in data["edge_lengths"][0][:2]]
     mesh = tmp_path / "mesh.json"
     mesh.write_text(json.dumps(data))
     assert main(["spectrum", "--mesh", str(mesh), "--out", str(tmp_path / "o")]) == 2

@@ -189,8 +189,13 @@ def test_intrinsic_json_roundtrip(tmp_path, eq_torus16):
     ("triangles", [[0, 1, 2.5]], "'triangles' must be a list of integer triples"),
     ("triangles", 7, "'triangles' must be a list of integer triples"),
     ("edge_lengths", [5], "'edge_lengths' must be a list of [i, j, length] triples"),
+    ("edge_lengths", [[0, 11, 0.5], [0.7, 1.2, 0.5]],
+     "'edge_lengths' row 1: endpoints 0.7, 1.2 are not integer vertex indices"),
+    ("edge_lengths", [[0, 11.0, 0.5]],
+     "'edge_lengths' row 0: endpoints 0, 11.0 are not integer vertex indices"),
 ], ids=["vertices-list", "vertices-float", "triangles-pair", "triangles-float",
-        "triangles-int", "edge-lengths-flat"])
+        "triangles-int", "edge-lengths-flat", "edge-lengths-fractional",
+        "edge-lengths-float"])
 def test_malformed_intrinsic_json_rejected(tmp_path, field, value, message):
     data = {"vertices": 42, "triangles": gen_icosphere(1).triangles.tolist(),
             "edge_lengths": []}

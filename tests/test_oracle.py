@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from confmax.oracle import (_Grid, _lambda_and_grad, _project, _vertex_areas,
-                            brute_force_torus_max)
+import confmax.oracle as oracle
+from confmax.oracle import (_Grid, _lambda_and_grad, _project, _raises_lambda1,
+                            _vertex_areas, brute_force_torus_max)
 
 
 def _element_loop(n, mu):
@@ -78,12 +79,16 @@ def _project_full(values, areas, cap):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_project_feasible_and_equal_to_full_bisection(seed):
-    values = np.random.default_rng(seed).standard_normal(144) * 5.0
+    # the exact breakpoint solve and the bisection agree to round-off, not to
+    # the bit; scale 50 at cap 4 saturates about a quarter of the vertices
     areas = _vertex_areas(12)
-    mu = _project(values, areas, 4.0)
-    assert mu.min() >= 0.0 and mu.max() <= 4.0
-    assert areas @ mu == pytest.approx(1.0, rel=1e-12)
-    assert np.array_equal(mu, _project_full(values, areas, 4.0))
+    for scale, cap in ((5.0, 4.0), (50.0, 4.0), (5.0, 64.0)):
+        values = np.random.default_rng(seed).standard_normal(144) * scale
+        mu = _project(values, areas, cap)
+        assert mu.min() >= 0.0 and mu.max() <= cap
+        assert areas @ mu == pytest.approx(1.0, rel=1e-12)
+        ulp = np.spacing(np.abs(values).max() + cap)
+        assert np.abs(mu - _project_full(values, areas, cap)).max() <= 4 * ulp
 
 
 def _lambda_and_grad_full(K, M, areas, cluster_gap=0.02):
@@ -94,13 +99,17 @@ def _lambda_and_grad_full(K, M, areas, cluster_gap=0.02):
     return lam, -lam * areas * np.mean(vecs[:, 1:1 + count] ** 2, axis=1)
 
 
+def _random_density(n, seed):
+    areas = _vertex_areas(n)
+    return (np.ones(n * n) if seed is None else
+            _project(np.random.default_rng(seed).uniform(0.5, 1.5, n * n), areas, 64.0))
+
+
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])  # None: uniform, a 4-fold cluster
 def test_leading_eigenpairs_match_full_spectrum(seed):
     n = 12
     grid, areas = _Grid(n), _vertex_areas(n)
-    mu = (np.ones(n * n) if seed is None else
-          _project(np.random.default_rng(seed).uniform(0.5, 1.5, n * n), areas, 64.0))
-    K, M = grid.stiffness(), grid.mass(mu)
+    K, M = grid.stiffness(), grid.mass(_random_density(n, seed))
     lam, grad = _lambda_and_grad(K, M, areas)
     lam_ref, grad_ref = _lambda_and_grad_full(K, M, areas)
     assert lam == pytest.approx(lam_ref, rel=1e-12)
@@ -112,6 +121,41 @@ def test_cluster_reaching_the_last_computed_eigenvalue_is_refused():
     M = grid.mass(np.ones(36))
     with pytest.raises(RuntimeError, match="cluster reaches all 13"):
         _lambda_and_grad(grid.stiffness(), M, areas, cluster_gap=10.0)
+
+
+@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])  # None: uniform, a 4-fold cluster
+def test_inertia_test_agrees_with_eigh(n, seed):
+    grid = _Grid(n)
+    K, M = grid.stiffness(), grid.mass(_random_density(n, seed))
+    lam1 = eigh(K, M + 1e-13 * np.eye(n * n), eigvals_only=True)[1]
+    assert _raises_lambda1(K, M, lam1 * (1.0 - 1e-8))
+    assert not _raises_lambda1(K, M, lam1 * (1.0 + 1e-8))
+
+
+def test_eigensolve_runs_only_on_trials_that_pass_the_inertia_test(monkeypatch):
+    calls = []
+    solve = oracle._lambda_and_grad
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(oracle, "_lambda_and_grad", counted)
+    brute_force_torus_max(n=12, restarts=2, seed=3000)
+    assert len(calls) <= 40  # 114 when every trial ran the dense eigensolve
+
+
+# n=12, 2 restarts: values of the ascent that ran the dense eigensolve on every trial
+_PER_TRIAL_EIGH = {0: 40.232010832919215, 5: 40.174738324291084, 3000: 40.03285904163444,
+                   3001: 40.186911136131165, 3002: 40.02298533580622,
+                   3003: 40.08938773217453, 3004: 40.04167113557144}
+
+
+@pytest.mark.parametrize("seed", list(_PER_TRIAL_EIGH))
+def test_values_match_the_eigensolve_per_trial_ascent(seed):
+    assert brute_force_torus_max(n=12, restarts=2, seed=seed) == pytest.approx(
+        _PER_TRIAL_EIGH[seed], rel=1e-12)
 
 
 def test_brute_force_value_unchanged():
