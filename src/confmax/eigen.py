@@ -49,6 +49,17 @@ zero and so are their entries of m. A lifted eigenvector u = Z y = lambda Z S y
 so (K u)_e = 0 on such a row e: the eigenvectors are harmonic there, the weak
 form of -Delta u = lambda mu u where mu = 0.
 
+A density with negative values, which the floor -1/2 box admits, can make
+M indefinite, and the pencil then means nothing. In the basis {1, e_1, ...,
+e_(V-1)}, M is congruent to [[1^T m, m_g^T], [m_g, M_g]], with M_g and m_g
+the rows of M and m of vertices 1..V-1. With 1^T m > 0, Sylvester's law of
+inertia (Parlett, The Symmetric Eigenvalue Problem, 1980) makes M PSD
+exactly when M_g - m_g m_g^T / (1^T m) is, the matrix that S applies between
+its two triangular solves: S is PSD exactly when M is. M_g has K's band, so
+one banded Cholesky factorization and one solve decide the sign: that Schur
+complement has no eigenvalue at or below -tau exactly when M_g + tau I has
+a factor and m_g^T (M_g + tau I)^-1 m_g < 1^T m.
+
 Each solve runs two Lanczos passes from independent start vectors, merged by
 Rayleigh-Ritz: single-vector Lanczos can return an incomplete basis of a
 degenerate eigenvalue, and the mesh symmetries here produce exact
@@ -77,8 +88,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh
+
+from .fem import upper_band
 
 
 class EigenError(RuntimeError):
@@ -129,23 +143,6 @@ def cluster_eigenvalues(lam, rel_gap=DEFAULT_REL_GAP):
     return tuple(tuple(g) for g in groups)
 
 
-def _check_inertia(M):
-    """Refuse indefinite mass matrices (possible in floor = -1/2 mode).
-
-    Only reached when some element block is indefinite, which leaves the
-    sum undecided.
-    """
-    try:
-        lo = float(eigsh(M, k=1, which="SA", return_eigenvectors=False,
-                         maxiter=5000)[0])
-    except Exception as exc:  # ARPACK non-convergence
-        raise EigenError(f"mass inertia check failed: {exc}") from exc
-    scale = abs(M.diagonal()).max()
-    if lo < -1e-12 * scale:
-        raise IndefiniteMassError(
-            "indefinite mass; reduce negative density or use floor=0")
-
-
 def _standard_operator(K, M):
     """(S, lift, calls): S = Z^T M Z as a LinearOperator and lift(y) = Z y.
 
@@ -157,7 +154,9 @@ def _standard_operator(K, M):
         S y = [0; R^-T (M_g z - m_g (m_g^T z) / (1^T m))],   z = R^-1 y[1:]:
 
     two triangular solves, one sparse product and a rank-one update, with no
-    scatter, gather or zero-fill. calls[0] counts the applications.
+    scatter, gather or zero-fill. calls[0] counts the applications. A signed
+    density's M that is not PSD up to tau = 1e-12 max |diag M| (module
+    docstring) is an IndefiniteMassError.
     """
     order, band = K.grounded_factor
     Mmat = M.matrix
@@ -165,6 +164,16 @@ def _standard_operator(K, M):
     m = np.asarray(Mmat.sum(axis=1)).ravel()  # M 1
     mass = m.sum()
     Mg, mg = K.grounded(Mmat), m[order]
+    if not M.nonnegative:
+        band_m = upper_band(Mg)
+        band_m[-1] += 1e-12 * abs(Mmat.diagonal()).max()
+        try:
+            psd = mg @ cho_solve_banded((cholesky_banded(band_m), False), mg) < mass
+        except np.linalg.LinAlgError:  # M_g + tau I is not positive definite
+            psd = False
+        if not psd:
+            raise IndefiniteMassError(
+                "indefinite mass; reduce negative density or use floor=0")
     calls = [0]
 
     def lift(y):  # Q E P R^-1 y[1:]
@@ -193,9 +202,6 @@ def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
     n = Kmat.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be between 1 and {n - 1} (V - 1), got {k}")
-
-    if not M.psd_blocks:
-        _check_inertia(Mmat)
 
     try:
         S, lift, calls = _standard_operator(K, M)

@@ -97,13 +97,7 @@ class StiffnessMatrix:
         """
         grounded = self.matrix[1:, 1:]
         order = reverse_cuthill_mckee(grounded, symmetric_mode=True)
-        P = grounded[order][:, order].tocoo()
-        upper = P.row <= P.col
-        i, j = P.row[upper], P.col[upper]
-        u = int((j - i).max())
-        band = np.zeros((u + 1, grounded.shape[0]))
-        band[u + i - j, j] = P.data[upper]
-        return 1 + order, cholesky_banded(band)
+        return 1 + order, cholesky_banded(upper_band(grounded[order][:, order]))
 
     @cached_property
     def _grounded_gather(self):
@@ -123,16 +117,32 @@ class StiffnessMatrix:
 
         matrix must be on K's CSR pattern, as every assemble_mass matrix of
         the mesh is: both sum the same element blocks and keep zero sums.
+        Another pattern, such as another mesh's, is a ValueError.
         """
+        K = self.matrix
+        if not (np.array_equal(matrix.indptr, K.indptr)
+                and np.array_equal(matrix.indices, K.indices)):
+            raise ValueError("mass and stiffness matrices are not on one mesh's pattern")
         take, indices, indptr = self._grounded_gather
         n = len(indptr) - 1
         return sparse.csr_matrix((matrix.data[take], indices, indptr), shape=(n, n))
 
 
+def upper_band(P):
+    """P's upper triangle in LAPACK band storage: row u + i - j of column j holds P_ij."""
+    P = P.tocoo()
+    upper = P.row <= P.col
+    i, j = P.row[upper], P.col[upper]
+    u = int((j - i).max())
+    band = np.zeros((u + 1, P.shape[0]))
+    band[u + i - j, j] = P.data[upper]
+    return band
+
+
 @dataclass(frozen=True)
 class MassMatrix:
     matrix: sparse.csr_matrix
-    psd_blocks: bool   # every element block is PSD, hence so is the matrix
+    nonnegative: bool  # no negative density: every element block is PSD, so M is
 
 
 def assemble_stiffness(mesh):
@@ -157,31 +167,12 @@ def assemble_stiffness(mesh):
     return StiffnessMatrix(K)
 
 
-def _element_blocks_psd(m):
-    """True when every consistent element mass block is PSD, up to round-off.
-
-    For corner densities m the block is proportional to D + O, with diagonal
-    4 m_a + 2 sum(m) and off-diagonal m_a + m_b + sum(m); a symmetric matrix
-    is PSD iff all its principal minors are >= 0. Rows are scaled by max |m|,
-    so the round-off allowance is relative.
-    """
-    s = np.abs(m).max(axis=1, keepdims=True)
-    m = m / np.where(s > 0, s, 1.0)
-    tot = m.sum(axis=1)
-    d0, d1, d2 = (4.0 * m + 2.0 * tot[:, None]).T
-    o01, o02, o12 = (m[:, a] + m[:, b] + tot for a, b in ((0, 1), (0, 2), (1, 2)))
-    minors = (d0, d1, d2, d0 * d1 - o01 ** 2, d0 * d2 - o02 ** 2, d1 * d2 - o12 ** 2,
-              d0 * d1 * d2 + 2.0 * o01 * o02 * o12
-              - d0 * o12 ** 2 - d1 * o02 ** 2 - d2 * o01 ** 2)
-    return all(bool(np.all(x >= -1e-12)) for x in minors)
-
-
 def assemble_mass(mesh, density):
     """Mass matrix for the P1 density (DensityField or raw per-vertex array).
 
-    Integrates hat x hat x (P1 density) exactly per triangle. A signed
-    density gets an O(F) semidefiniteness test per element block, recorded
-    in psd_blocks.
+    Integrates hat x hat x (P1 density) exactly per triangle. Only a density
+    with a negative value can make M indefinite; solve_pencil tests the sign
+    of such an M with one banded Cholesky factorization.
     """
     mu = density.values if isinstance(density, DensityField) else np.asarray(density, float)
     tri = mesh.triangles
@@ -205,8 +196,7 @@ def assemble_mass(mesh, density):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(V, V)).tocsr()
     M.sum_duplicates()
-    psd = bool(mu.min() >= 0.0) or _element_blocks_psd(m)
-    return MassMatrix(M, psd)
+    return MassMatrix(M, bool(mu.min() >= 0.0))
 
 
 def gradient_field(mesh, U):

@@ -212,10 +212,7 @@ def detect_collapse(mu, mesh):
     for s in range(0, v, block):
         d = dijkstra(g, indices=np.arange(s, min(s + block, v)), limit=limit)
         hit = np.flatnonzero(d <= limit)  # row-major: by source, then by vertex
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(hit // v, minlength=len(d)))])
-        ball = csr_matrix((np.ones(len(hit), dtype=bool), (hit % v).astype(np.int32), indptr),
-                          shape=(len(d), v))
-        heaviest = max(heaviest, float((ball @ vmass).max()))
+        heaviest = max(heaviest, float(np.bincount(hit // v, weights=vmass[hit % v]).max()))
     return {"max_ball_mass": {COLLAPSE_RADIUS: heaviest}, "flag": heaviest > 0.5,
             "diameter": diam}
 

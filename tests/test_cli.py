@@ -305,6 +305,20 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
+def test_indefinite_mass_exits_3(tmp_path, capsys):
+    # the star of vertex 0 at the floor -0.5 / A: a signed density of the box
+    # whose mass matrix is indefinite
+    mesh = gen_icosphere(2)
+    mu = np.ones(mesh.vertex_count)
+    mu[np.unique(mesh.triangles[(mesh.triangles == 0).any(axis=1)])] = -0.5
+    density = tmp_path / "star.json"
+    density.write_text(json.dumps((mu / (mesh.vertex_areas @ mu)).tolist()))
+    rc = main(["spectrum", "--gen", "icosphere:2", "--floor", "-0.5",
+               "--density", str(density), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: indefinite mass")
+
+
 def test_failed_acceptance_check_exits_1(tmp_path, monkeypatch):
     failing = BenchResult("stub criterion", False, 0.0, "target", "detail")
     monkeypatch.setattr("confmax.bench.run_all", lambda **kwargs: [failing])

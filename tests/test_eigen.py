@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, spsolve
+from scipy.sparse.linalg import LinearOperator, eigsh, spsolve
 
 import confmax.eigen
 import confmax.fem
@@ -337,43 +337,94 @@ def test_indefinite_mass_refused(sphere2):
 
 
 def test_signed_density_with_psd_blocks_needs_no_inertia_solve(sphere2, monkeypatch):
+    # the sign test is a Cholesky factorization: the solve makes its two
+    # Lanczos passes and no other eigensolve
     mu = uniform_density(sphere2).values.copy()
     mu[0] *= -0.5  # one negative corner per element keeps every block PSD
     M = assemble_mass(sphere2, mu)
-    assert M.psd_blocks
+    assert not M.nonnegative
 
     def forbidden(*args, **kwargs):
         raise AssertionError("inertia solve should not run")
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    monkeypatch.setattr(confmax.eigen, "_check_inertia", forbidden)
+    runs = []
+    eigsh = confmax.eigen.eigsh
+
+    def counting(*args, **kwargs):
+        runs.append(kwargs.get("which"))
+        return eigsh(*args, **kwargs)
+    monkeypatch.setattr(confmax.eigen, "eigsh", counting)
     res = solve_pencil(assemble_stiffness(sphere2), M, k=2)
+    assert runs == ["LA", "LA"]
     assert np.all(res.eigenvalues > 0)
 
 
 def test_indefinite_blocks_fall_back_to_global_check(sphere2):
     # negative corners next to each other break some element blocks, yet the
-    # assembled matrix stays positive definite, which the fallback confirms
+    # assembled matrix stays positive definite, which the sign test confirms
     mu = uniform_density(sphere2).values.copy()
     mu[::7] *= -0.2
     M = assemble_mass(sphere2, mu)
-    assert not M.psd_blocks
+    assert not M.nonnegative
     assert np.linalg.eigvalsh(M.matrix.toarray())[0] > 0
     res = solve_pencil(assemble_stiffness(sphere2), M, k=2)
     assert np.all(res.eigenvalues > 0)
 
 
-def test_inertia_check_failure_is_eigen_error(sphere2, monkeypatch):
-    mu = uniform_density(sphere2).values.copy()
-    mu[::7] *= -0.2
-    M = assemble_mass(sphere2, mu)
-    assert not M.psd_blocks
+def _signed_density(mesh, seed):
+    """Unit-mass density in [0.5, 1.5] with a seeded share of vertices in [-0.5, 0]."""
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(0.5, 1.5, mesh.vertex_count)
+    neg = rng.random(mesh.vertex_count) < rng.uniform(0.0, 0.15)
+    mu[neg] = -rng.uniform(0.0, 0.5, neg.sum())
+    return mu / (mesh.vertex_areas @ mu)
 
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
-                                  np.empty((0, 0)))
-    monkeypatch.setattr(confmax.eigen, "eigsh", no_convergence)
-    with pytest.raises(EigenError, match="mass inertia check failed: .*No convergence"):
-        solve_pencil(assemble_stiffness(sphere2), M, k=2)
+
+@pytest.mark.parametrize("mesh, seeds", [("sphere2", 90), ("sphere3", 40), ("torus12", 90)])
+def test_sign_test_agrees_with_dense_inertia(mesh, seeds, request):
+    mesh = (gen_flat_torus(SQUARE, 12, 12) if mesh == "torus12"
+            else request.getfixturevalue(mesh))
+    K = assemble_stiffness(mesh)
+    refused = []
+    for seed in range(seeds):
+        M = assemble_mass(mesh, _signed_density(mesh, seed))
+        A = M.matrix.toarray()
+        indefinite = (scipy.linalg.eigvalsh(A, subset_by_index=[0, 0])[0]
+                      < -1e-12 * np.abs(A.diagonal()).max())
+        try:
+            confmax.eigen._standard_operator(K, M)
+            refused.append(False)
+        except IndefiniteMassError:
+            refused.append(True)
+        assert refused[-1] == indefinite, seed
+    assert 0 < sum(refused) < seeds  # both outcomes occur
+
+
+@pytest.mark.parametrize("mu0, indefinite", [(-1.0, True), (-0.5, False)])
+def test_sign_test_reads_the_vertex_0_border(sphere2, mu0, indefinite):
+    # with mu_0 = -1 the grounded M_g is positive definite while M is not:
+    # only the border term m_g^T (M_g + tau I)^-1 m_g against 1^T m refuses it
+    mu = np.ones(sphere2.vertex_count)
+    mu[0] = mu0
+    M = assemble_mass(sphere2, mu)
+    A = M.matrix.toarray()
+    assert np.linalg.eigvalsh(A[1:, 1:])[0] > 0
+    assert (np.linalg.eigvalsh(A)[0] < 0) == indefinite
+    K = assemble_stiffness(sphere2)
+    if indefinite:
+        with pytest.raises(IndefiniteMassError, match="indefinite mass"):
+            solve_pencil(K, M, k=2)
+    else:
+        assert np.all(solve_pencil(K, M, k=2).eigenvalues > 0)
+
+
+def test_mass_of_another_mesh_refused():
+    # V = 42 for both meshes: only the sparsity patterns tell them apart
+    sphere, torus = gen_icosphere(1), gen_flat_torus(SQUARE, 6, 7)
+    assert sphere.vertex_count == torus.vertex_count
+    with pytest.raises(ValueError, match="not on one mesh's pattern"):
+        solve_pencil(assemble_stiffness(sphere), assemble_mass(torus, uniform_density(torus)),
+                     k=3)
 
 
 @pytest.mark.parametrize("mesh, zero", [

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from confmax.eigen import solve_pencil
-from confmax.fem import (DensityError, DensityField, _element_blocks_psd,
-                         assemble_mass, assemble_stiffness, gradient_field,
-                         random_density, uniform_density)
+from confmax.fem import (DensityError, DensityField, assemble_mass, assemble_stiffness,
+                         gradient_field, random_density, uniform_density)
 from confmax.mesh import TriangleMesh, gen_flat_torus
 from conftest import SQUARE, polar_cap, vanishing_density
 from test_mesh import regular_tetrahedron
@@ -145,18 +144,6 @@ def test_random_density_reproducible(sphere2):
     b = random_density(sphere2, seed=7)
     assert np.array_equal(a.values, b.values)
     assert a.mass() == pytest.approx(1.0, abs=1e-10)
-
-
-def test_element_block_minors_match_eigenvalues():
-    m = np.random.default_rng(0).uniform(-1.0, 2.0, (500, 3))
-    tot = m.sum(axis=1)
-    # consistent element block (up to A/60): m_a + m_b + sum(m), plus
-    # 2 m_a + sum(m) on the diagonal
-    B = m[:, :, None] + m[:, None, :] + tot[:, None, None]
-    B[:, [0, 1, 2], [0, 1, 2]] += 2.0 * m + tot[:, None]
-    lo = np.linalg.eigvalsh(B)[:, 0]
-    assert 0 < (lo >= 0).sum() < len(m)
-    assert [_element_blocks_psd(m[i:i + 1]) for i in range(len(m))] == list(lo >= -1e-12)
 
 
 def _floor_density_with_zeros(mesh):
