@@ -116,7 +116,7 @@ class StiffnessMatrix:
         """matrix[order][:, order] for the factor's order, by one gather.
 
         matrix must be on K's CSR pattern, as every assemble_mass matrix of
-        the mesh is: both sum the same element blocks and keep zero sums.
+        the mesh is: both are assembled into the mesh's element_slots.
         Another pattern, such as another mesh's, is a ValueError.
         """
         K = self.matrix
@@ -145,6 +145,33 @@ class MassMatrix:
     nonnegative: bool  # no negative density: every element block is PSD, so M is
 
 
+_EDGES = ((1, 2), (0, 2), (0, 1))  # the corners of the edge opposite corner c
+
+
+# Element bases, [c, 3 a + b]: an (F, 3) array of per-corner weights times a
+# basis is the triangles' (F, 9) row-major element matrices. Stiffness: the
+# block (e_a - e_b)(e_a - e_b)^T / 2 of the edge (a, b) opposite corner c,
+# weighted by cot_c. Mass: 60/A int phi_a phi_b phi_c dA =
+# (1 + [a = b])(1 + [c = a] + [c = b]), weighted by mu_c A/60, so the sum over
+# c integrates phi_a phi_b (sum_c mu_c phi_c) exactly.
+_STIFFNESS_BASIS = np.array([0.5 * np.outer(d, d) for d in
+                             (np.eye(3)[a] - np.eye(3)[b] for a, b in _EDGES)]).reshape(3, 9)
+_MASS_BASIS = np.array([(1.0 + np.eye(3)) * (1.0 + np.add.outer(e, e))
+                        for e in np.eye(3)]).reshape(3, 9)
+
+
+def _assemble(mesh, element):
+    """Sum (F, 9) row-major element matrices into one CSR matrix on the mesh's pattern.
+
+    One bincount into mesh.element_slots: entries summing to zero are kept,
+    so every matrix of the mesh has the same indices and indptr.
+    """
+    slots, indices, indptr = mesh.element_slots
+    data = np.bincount(slots.ravel(), weights=element.ravel(), minlength=len(indices))
+    V = mesh.vertex_count
+    return sparse.csr_matrix((data, indices, indptr), shape=(V, V))
+
+
 def assemble_stiffness(mesh):
     """Cotangent stiffness: K_ij = -(cot a + cot b)/2 on edges, zero row sums."""
     cot = mesh.cotangents
@@ -152,19 +179,7 @@ def assemble_stiffness(mesh):
     thin = np.nonzero(np.abs(cot).max(axis=1) > 1.0 / 1e-8)[0]
     if thin.size:
         warnings.warn(f"near-degenerate triangles: {thin.tolist()}", RuntimeWarning)
-    tri = mesh.triangles
-    V = mesh.vertex_count
-    rows, cols, vals = [], [], []
-    for c, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-        w = 0.5 * cot[:, c]
-        rows += [tri[:, a], tri[:, b], tri[:, a], tri[:, b]]
-        cols += [tri[:, b], tri[:, a], tri[:, a], tri[:, b]]
-        vals += [-w, -w, w, w]
-    K = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(V, V)).tocsr()
-    K.sum_duplicates()
-    return StiffnessMatrix(K)
+    return StiffnessMatrix(_assemble(mesh, cot @ _STIFFNESS_BASIS))
 
 
 def assemble_mass(mesh, density):
@@ -175,28 +190,8 @@ def assemble_mass(mesh, density):
     of such an M with one banded Cholesky factorization.
     """
     mu = density.values if isinstance(density, DensityField) else np.asarray(density, float)
-    tri = mesh.triangles
-    A = mesh.areas
-    m = mu[tri]  # (F, 3) corner densities
-    V = mesh.vertex_count
-    rows, cols, vals = [], [], []
-    tot = m.sum(axis=1)
-    for a in range(3):
-        # int phi_a phi_a (sum mu_c phi_c) = (A/60)(6 mu_a + 2 mu_b + 2 mu_c)
-        rows.append(tri[:, a])
-        cols.append(tri[:, a])
-        vals.append((A / 60.0) * (4.0 * m[:, a] + 2.0 * tot))
-        for b in range(a + 1, 3):
-            # int phi_a phi_b (sum mu_c phi_c) = (A/60)(2 mu_a + 2 mu_b + mu_c)
-            v = (A / 60.0) * (m[:, a] + m[:, b] + tot)
-            rows += [tri[:, a], tri[:, b]]
-            cols += [tri[:, b], tri[:, a]]
-            vals += [v, v]
-    M = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(V, V)).tocsr()
-    M.sum_duplicates()
-    return MassMatrix(M, bool(mu.min() >= 0.0))
+    corner = mu[mesh.triangles] * (mesh.areas / 60.0)[:, None]
+    return MassMatrix(_assemble(mesh, corner @ _MASS_BASIS), bool(mu.min() >= 0.0))
 
 
 def gradient_field(mesh, U):
@@ -209,7 +204,7 @@ def gradient_field(mesh, U):
     """
     uv = np.asarray(U, dtype=float).reshape(mesh.vertex_count, -1)[mesh.triangles]
     energy = sum(0.5 * mesh.cotangents[:, c] * ((uv[:, a] - uv[:, b]) ** 2).sum(axis=1)
-                 for c, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))))
+                 for c, (a, b) in enumerate(_EDGES))
     vert = np.bincount(mesh.triangles.ravel(), weights=np.repeat(energy / 3.0, 3),
                        minlength=mesh.vertex_count)
     return energy / mesh.areas, vert / mesh.vertex_areas

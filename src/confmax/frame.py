@@ -61,33 +61,42 @@ class SphereFrame:
     stop_reason: str | None = None  # "converged" | "stagnated" | "iteration-cap"
 
 
-def _quadrature_points(basis, mesh):
-    """Per Dunavant point: basis values (F, m) and area-scaled weights (F,)."""
-    corner = basis[mesh.triangles]                 # (F, 3, m)
-    for bary, weight in zip(_QP, _QW):
-        yield np.einsum("c,fcm->fm", bary, corner), weight * mesh.areas
+def _quadrature(basis, mesh):
+    """Basis values at the six Dunavant points of every triangle, and weights.
+
+    Returns the (m, 6, F) value table, one product of the barycentric
+    coordinates with the (m, 3, F) corner values, and the (6, F) area-scaled
+    weights. The table holds 6 m F values, no more than one (m^2, F) slab
+    once m >= 6.
+    """
+    corner = np.ascontiguousarray(basis.T)[:, mesh.triangles.T]
+    return _QP @ corner, _QW[:, None] * mesh.areas
 
 
-def _moments(basis, mesh):
+def _moments(values, weights):
     """T = sum_q w_q k_q k_q^T and G = sum_q w_q k_q with k_q = vec(v_q v_q^T).
 
-    Accumulated one quadrature point at a time, so the largest temporary is
-    one (F, m^2) slab.
+    values, weights as _quadrature returns them. Accumulated one Dunavant
+    point at a time from (m^2, F) slabs, so besides the table the largest
+    temporaries are two such slabs.
     """
-    m = basis.shape[1]
+    m = len(values)
     T = np.zeros((m * m, m * m))
     G = np.zeros(m * m)
-    for v, wq in _quadrature_points(basis, mesh):
-        k = (v[:, :, None] * v[:, None, :]).reshape(len(v), m * m)
-        T += k.T @ (k * wq[:, None])
-        G += wq @ k
+    for q, wq in enumerate(weights):
+        v = values[:, q]
+        k = (v[:, None] * v[None, :]).reshape(m * m, -1)
+        kw = k * wq
+        T += kw @ k.T
+        G += kw.sum(axis=1)
     return T, G
 
 
-def _objective(basis, mesh, Q):
+def _objective(values, weights, Q):
     """Exact quadrature of (sum Q_ab v_a v_b - 1)^2 over the mesh."""
-    return sum(float(wq @ (np.einsum("fa,ab,fb->f", v, Q, v) - 1.0) ** 2)
-               for v, wq in _quadrature_points(basis, mesh))
+    v = values.reshape(len(values), -1)
+    s = np.einsum("ax,ax->x", Q @ v, v) - 1.0
+    return float(weights.ravel() @ (s * s))
 
 
 def _psd_clip(Q):
@@ -126,9 +135,12 @@ def select_frame(basis, mesh):
       by less than STAGNATED_RTOL f, so momentum has nothing left to add;
     - "iteration-cap": MAX_ITERS projected steps, neither of the above.
 
-    A step costs O(m^4) after the O(F m^4) moment build. The returned
-    objective is a fresh quadrature at the final Q; the constraint counts as
-    attained when that objective is at most ATTAINED_RTOL times the area.
+    A step costs O(m^4) after the O(F m^4) moment build, which evaluates
+    the basis once at the six Dunavant points of every triangle, one
+    (m, 6, F) table, and sums T and G from one (m^2, F) slab per point. The
+    returned objective is a fresh quadrature of that table at the final Q;
+    the constraint counts as attained when that objective is at most
+    ATTAINED_RTOL times the area.
 
     The basis must be M_mu-orthonormal, as solve_pencil returns it. Then
     int w mu dA = sum_ab Q_ab (V^T M_mu V)_ab = tr Q, so the soft mass
@@ -139,7 +151,8 @@ def select_frame(basis, mesh):
     if basis.ndim != 2 or basis.shape[1] == 0:
         raise FrameError("empty eigenbasis")
     m = basis.shape[1]
-    T, G = _moments(basis, mesh)
+    values, weights = _quadrature(basis, mesh)
+    T, G = _moments(values, weights)
     L = 2.0 * float(np.linalg.eigvalsh(T)[-1])
     tol = CONVERGED_RTOL * 2.0 * float(np.linalg.norm(G))
 
@@ -176,7 +189,7 @@ def select_frame(basis, mesh):
     mass_w = float(np.trace(Q))
     if mass_w > 1.0 + 1e-6:
         Q = Q / mass_w
-    f = _objective(basis, mesh, Q)
+    f = _objective(values, weights, Q)
 
     attained = f <= ATTAINED_RTOL * mesh.area
     if not attained:

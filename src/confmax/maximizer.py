@@ -63,6 +63,12 @@ class AscentConfig:
             raise ValueError("floor must be 0 or -0.5")
         if not 0.0 <= self.lam_tol < np.inf:
             raise ValueError("lam_tol must be finite and >= 0")
+        if not self.max_iters >= 1:
+            raise ValueError("max_iters must be >= 1")
+        # at rel_gap <= 0 no two eigenvalues share a cluster, so a multiple
+        # lambda_1 would feed the frame a single eigenvector
+        if not 0.0 < self.rel_gap < np.inf:
+            raise ValueError("rel_gap must be finite and > 0")
 
 
 @dataclass

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 
@@ -69,7 +70,8 @@ class TriangleMesh:
     genus : int
     embedding : (V, 3) float array the lengths were measured on (from_embedding), or None
 
-    All are set at construction; nothing is cached on the mesh afterwards.
+    All are set at construction. The one value cached on the mesh afterwards
+    is `element_slots`, built on first assembly; its size is linear in F.
     """
 
     def __init__(self, vertex_count, triangles, edge_lengths):
@@ -79,6 +81,29 @@ class TriangleMesh:
         self._build_geometry()  # raises on triangle-inequality violations
         self._validate_manifold()
         self.embedding = None
+
+    @cached_property
+    def element_slots(self):
+        """(slots, indices, indptr): where each P1 element entry lands in CSR.
+
+        indices and indptr are the CSR pattern of the vertex adjacency,
+        diagonal included (V + 2E entries), and slots is an (F, 3, 3) array
+        whose entry [f, a, b] is the position of entry (tri[f, a], tri[f, b])
+        in that pattern. Every matrix assembled on the mesh shares this
+        indices and indptr, so stiffness and mass are on one pattern by
+        construction. Both arrays are read-only: one matrix sorting its
+        indices in place would rewrite every other.
+        """
+        tri, V = self.triangles, self.vertex_count
+        key = (tri[:, :, None] * V + tri[:, None, :]).ravel()
+        entries, slots = np.unique(key, return_inverse=True)
+        # scipy stores the pattern in its own index dtype; matrices built on
+        # these arrays then keep them without a copy
+        pattern = csr_matrix((np.zeros(len(entries)), entries % V,
+                              np.searchsorted(entries, V * np.arange(V + 1))), shape=(V, V))
+        for a in (pattern.indices, pattern.indptr):
+            a.flags.writeable = False
+        return slots.reshape(-1, 3, 3), pattern.indices, pattern.indptr
 
     # -- construction helpers -------------------------------------------------
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import mmread
 
 from confmax.bench import BenchResult
 from confmax.cli import _ascent_config, build_parser, main
@@ -42,8 +43,14 @@ def test_spectrum_dump_matrices(tmp_path):
     rc = main(["spectrum", "--gen", "icosphere:2", "--out", str(out),
                "--dump-matrices"])
     assert rc == 0
-    assert (out / "stiffness.mtx").exists()
-    assert (out / "mass.mtx").exists()
+    K, M = (mmread(out / name).tocsr() for name in ("stiffness.mtx", "mass.mtx"))
+    for A in (K, M):
+        A.sort_indices()
+    assert np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)
+    assert (K != K.T).nnz == 0
+    assert np.abs(K.sum(axis=1)).max() < 1e-12
+    # the uniform start density carries unit mass: 1^T M 1 = int mu dA = 1
+    assert abs(M.sum() - 1.0) < 1e-12
 
 
 def test_maximize_outputs(tmp_path):
@@ -277,6 +284,15 @@ def test_malformed_input_exits_with_input_error(tmp_path, capsys, case):
         argv += ["--gen", case]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_empty_iteration_budget_exits_with_input_error(tmp_path, capsys, iters):
+    rc = main(["maximize", "--gen", "icosphere:1", "--max-iters", iters,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: max_iters must be >= 1")
+    assert not (tmp_path / "o").exists()
 
 
 def test_infeasible_schedule_exits_with_input_error(tmp_path, capsys):

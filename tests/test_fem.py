@@ -6,7 +6,7 @@ import pytest
 from confmax.eigen import solve_pencil
 from confmax.fem import (DensityError, DensityField, assemble_mass, assemble_stiffness,
                          gradient_field, random_density, uniform_density)
-from confmax.mesh import TriangleMesh, gen_flat_torus
+from confmax.mesh import TriangleMesh, gen_flat_torus, gen_icosphere
 from conftest import SQUARE, polar_cap, vanishing_density
 from test_mesh import regular_tetrahedron
 
@@ -169,3 +169,51 @@ def test_grounded_gather_is_fancy_indexing(sphere3, density):
         assert np.array_equal(getattr(planned, name), getattr(ref, name)), name
     if density == "floor-with-zeros":
         assert (ref.data == 0.0).any() and (ref.data < 0.0).any()
+
+
+def _dense_element_sums(mesh, mu):
+    """K and M(mu) summed triangle by triangle into dense V x V arrays.
+
+    K's element is sum_c (cot_c / 2) (e_a - e_b)(e_a - e_b)^T over the edge
+    (a, b) opposite corner c; M's entries integrate lam_a lam_b lam_c from the
+    barycentric monomial rule int lam^alpha dA = 2 A alpha! / (|alpha| + 2)!.
+    """
+    V = mesh.vertex_count
+    K, M = np.zeros((V, V)), np.zeros((V, V))
+    for f, t in enumerate(mesh.triangles):
+        for c, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+            d = np.zeros(V)
+            d[t[a]], d[t[b]] = 1.0, -1.0
+            K += 0.5 * mesh.cotangents[f, c] * np.outer(d, d)
+        for a in range(3):
+            for b in range(3):
+                for c in range(3):
+                    alpha = np.bincount([a, b, c], minlength=3)
+                    M[t[a], t[b]] += (mu[t[c]] * 2.0 * mesh.areas[f]
+                                      * math.prod(math.factorial(k) for k in alpha) / 120.0)
+    return K, M
+
+
+@pytest.mark.parametrize("which", ["icosphere:1", "square torus n=4"])
+def test_slot_assembly_matches_dense_element_sums(which):
+    mesh = gen_icosphere(1) if which == "icosphere:1" else gen_flat_torus(SQUARE, 4, 4)
+    assert "element_slots" not in vars(mesh)  # built on first assembly, not at construction
+    K = assemble_stiffness(mesh)
+    assert "element_slots" in vars(mesh)
+    V, E = mesh.vertex_count, len(mesh.edges)
+    # one stored entry per vertex and per directed edge, zero sums included
+    # (the square torus's cell diagonals face two right angles)
+    assert K.matrix.nnz == V + 2 * E
+    # a unit-mass density and a signed raw array
+    mus = [random_density(mesh, 4).values, np.random.default_rng(2).uniform(-0.5, 1.5, V)]
+    for mu in mus:
+        K_ref, M_ref = _dense_element_sums(mesh, mu)
+        M = assemble_mass(mesh, mu).matrix
+        assert np.abs(K.matrix.toarray() - K_ref).max() <= 1e-15 * np.abs(K_ref).max()
+        assert np.abs(M.toarray() - M_ref).max() <= 1e-15 * np.abs(M_ref).max()
+        assert K.grounded(M).shape == (V - 1, V - 1)
+    # M is linear in mu
+    a, b = 0.3, -1.7
+    M1, M2 = (assemble_mass(mesh, mu).matrix for mu in mus)
+    M12 = assemble_mass(mesh, a * mus[0] + b * mus[1]).matrix
+    assert np.abs((M12 - (a * M1 + b * M2)).toarray()).max() <= 1e-15 * np.abs(M12.data).max()

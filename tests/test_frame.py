@@ -8,7 +8,7 @@ from confmax.eigen import solve_pencil
 from confmax.fem import (assemble_mass, assemble_stiffness, random_density,
                          uniform_density)
 from confmax.frame import (MAX_ITERS, FrameError, SphereFrame, _moments,
-                           _objective, _quadrature_points, harmonic_residual,
+                           _objective, _quadrature, harmonic_residual,
                            recover_density, select_frame)
 from confmax.maximizer import AscentConfig, maximize
 from confmax.mesh import gen_flat_torus, gen_icosphere
@@ -36,7 +36,9 @@ def _random_symmetric(m, seed):
 
 def _quadrature_objective_and_gradient(basis, mesh, Q):
     f, g = 0.0, 0.0
-    for v, wq in _quadrature_points(basis, mesh):
+    values, weights = _quadrature(basis, mesh)
+    for q, wq in enumerate(weights):
+        v = values[:, q].T
         s = np.einsum("fa,ab,fb->f", v, Q, v) - 1.0
         f += float(wq @ s ** 2)
         g = g + 2.0 * (v * (wq * s)[:, None]).T @ v
@@ -61,7 +63,7 @@ def _exact_misfit(basis, mesh, Q):
 
 def test_moment_form_matches_quadrature(lambda1_basis):
     mesh, basis = lambda1_basis
-    T, G = _moments(basis, mesh)
+    T, G = _moments(*_quadrature(basis, mesh))
     for seed in range(3):
         Q = _random_symmetric(basis.shape[1], seed)
         q = Q.ravel()
@@ -73,11 +75,12 @@ def test_moment_form_matches_quadrature(lambda1_basis):
 
 def test_moment_gradient_matches_finite_differences(lambda1_basis):
     mesh, basis = lambda1_basis
-    T, G = _moments(basis, mesh)
+    quadrature = _quadrature(basis, mesh)
+    T, G = _moments(*quadrature)
     m = basis.shape[1]
     Q, E = _random_symmetric(m, 1), _random_symmetric(m, 2)
     h = 1e-4
-    fd = (_objective(basis, mesh, Q + h * E) - _objective(basis, mesh, Q - h * E)) / (2 * h)
+    fd = (_objective(*quadrature, Q + h * E) - _objective(*quadrature, Q - h * E)) / (2 * h)
     directional = 2.0 * (T @ Q.ravel() - G) @ E.ravel()
     assert abs(fd - directional) < 1e-8 * max(abs(directional), 1.0)
 
@@ -88,7 +91,7 @@ def test_reported_objective_is_exact_misfit(lambda1_basis):
     frame = select_frame(basis, mesh)
     exact = _exact_misfit(basis, mesh, frame.Q)
     assert abs(frame.objective - exact) < 1e-12 * mesh.area
-    assert frame.objective == _objective(basis, mesh, frame.Q)
+    assert frame.objective == _objective(*_quadrature(basis, mesh), frame.Q)
 
 
 def test_stop_reason_converged_on_sphere(sphere2):
@@ -102,7 +105,7 @@ def test_stop_reason_converged_on_sphere(sphere2):
 
 def _long_run_frame_q(basis, mesh, steps=20000):
     """Plain FISTA without restart or stop: a reference minimizer of f."""
-    T, G = _moments(basis, mesh)
+    T, G = _moments(*_quadrature(basis, mesh))
     m = basis.shape[1]
     L = 2.0 * np.linalg.eigvalsh(T)[-1]
     q = y = np.eye(m).ravel() / m
@@ -128,7 +131,7 @@ def test_stop_reason_criterion_on_merged_torus_cluster():
     assert frame.iterations <= 400
     # f after 2000 Armijo projected-gradient steps
     assert frame.objective <= 6.5821824309e-05
-    reference = _objective(basis, mesh, _long_run_frame_q(basis, mesh))
+    reference = _objective(*_quadrature(basis, mesh), _long_run_frame_q(basis, mesh))
     assert abs(frame.objective - reference) <= 1e-9 * reference
 
 
@@ -142,7 +145,7 @@ def test_stop_reason_stagnated():
     basis = solve_pencil(K, M, k=8).eigenvectors[:, [2, 4, 6, 7]]
     frame = select_frame(basis, mesh)
     assert frame.stop_reason == "stagnated"
-    reference = _objective(basis, mesh, _long_run_frame_q(basis, mesh))
+    reference = _objective(*_quadrature(basis, mesh), _long_run_frame_q(basis, mesh))
     assert abs(frame.objective - reference) <= 1e-9 * reference
 
 
@@ -166,7 +169,8 @@ def test_ill_conditioned_torus_cluster_converges():
     d, P = np.linalg.eigh(frame.Q)
     keep = d > 1e-8 * d.max()
     x = (P[:, keep] * np.sqrt(d[keep])).ravel()
-    v, wq = (np.concatenate(a) for a in zip(*_quadrature_points(basis, mesh)))
+    values, weights = _quadrature(basis, mesh)
+    v, wq = values.reshape(len(values), -1).T, weights.ravel()
     sw = np.sqrt(wq)
     for _ in range(5):
         y = v @ x.reshape(6, -1)
@@ -174,16 +178,16 @@ def test_ill_conditioned_torus_cluster_converges():
         x = x - np.linalg.lstsq(jacobian, sw * ((y * y).sum(axis=1) - 1.0))[0]
     X = x.reshape(6, -1)
     ref = X @ X.T
-    T, G = _moments(basis, mesh)
+    T, G = _moments(values, weights)
     grad = (T @ ref.ravel() - G).reshape(6, 6)
     assert np.abs(grad @ X).max() <= 1e-12 * np.linalg.norm(G)
     assert np.linalg.eigvalsh(grad)[0] >= -1e-12 * np.linalg.norm(G)
     # select_frame rescales its minimizer to unit trace (tr Q* = 1.0007 here),
     # which moves f along a valley too flat to pin the rescaled value to 1e-9
     # (3e-9 apart), so the minimizers are compared before that rescale
-    f_star = _objective(basis, mesh, ref)
+    f_star = _objective(values, weights, ref)
     assert np.trace(ref) > 1.0 + 1e-6
-    assert abs(_objective(basis, mesh, np.trace(ref) * frame.Q) - f_star) <= 1e-9 * f_star
+    assert abs(_objective(values, weights, np.trace(ref) * frame.Q) - f_star) <= 1e-9 * f_star
 
 
 @pytest.mark.filterwarnings("ignore:sphere constraint unattained")

@@ -40,6 +40,19 @@ def test_config_validation():
     assert AscentConfig(lam_tol=0.0).lam_tol == 0.0
 
 
+def test_config_refuses_an_empty_iteration_budget():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_iters"):
+            AscentConfig(max_iters=bad)
+    assert AscentConfig(max_iters=1).max_iters == 1
+
+
+def test_config_refuses_a_gap_that_splits_every_cluster():
+    for bad in (-0.02, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rel_gap"):
+            AscentConfig(rel_gap=bad)
+
+
 def test_projection_box_and_mass(sphere3):
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(sphere3.vertex_count) * 5.0
