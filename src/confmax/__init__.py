@@ -1,7 +1,7 @@
 """Conformal first-eigenvalue maximization on closed triangulated surfaces."""
 
-from .mesh import (TriangleMesh, MeshError, gen_flat_torus, gen_icosphere,
-                   load_mesh, mesh_stats, save_intrinsic_json)
+from .mesh import (SURFACES, TriangleMesh, MeshError, gen_flat_torus, gen_icosphere,
+                   load_mesh, mesh_from_spec, mesh_stats, save_intrinsic_json)
 from .fem import (DensityField, DensityError, assemble_mass, assemble_stiffness,
                   gradient_field, random_density, uniform_density)
 from .eigen import (EigenError, IndefiniteMassError, SpectralResult,

@@ -15,15 +15,13 @@ from .eigen import solve_pencil
 from .fem import assemble_mass, assemble_stiffness, uniform_density
 from .frame import select_frame
 from .maximizer import AscentConfig, ascent_step, maximize
-from .mesh import gen_flat_torus, gen_icosphere
-from .certify import moebius_map, yang_yau_bound
+from .mesh import EQUILATERAL, SQUARE, SURFACES, mesh_from_spec  # noqa: F401
+from .certify import moebius_map
 from .oracle import brute_force_torus_max
 
-EIGHT_PI = 8.0 * math.pi
-TORUS_MAX = 8.0 * math.pi ** 2 / math.sqrt(3.0)
-
-EQUILATERAL = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-SQUARE = np.array([[1.0, 0.0], [0.0, 1.0]])
+# perfbench/workloads.py reads EIGHT_PI, TORUS_MAX, EQUILATERAL and SQUARE from here
+EIGHT_PI = SURFACES["icosphere"].lambda1_area
+TORUS_MAX = SURFACES["flat-torus:equilateral"].lambda1_area
 
 
 @dataclass
@@ -39,27 +37,31 @@ def _result(name, passed, value, target, detail=""):
     return BenchResult(name, bool(passed), float(value), target, detail)
 
 
+def _uniform_spectrum(spec, k, seed, **solver):
+    """The uniform-density pencil solve on the generator spec's mesh."""
+    mesh = mesh_from_spec(spec)
+    M = assemble_mass(mesh, uniform_density(mesh))
+    return solve_pencil(assemble_stiffness(mesh), M, k=k, seed=seed, **solver)
+
+
+def _clusters_check(name, res, sizes, targets, rel_tol):
+    """The first two eigenvalue clusters against their sizes and closed-form values."""
+    got = [(len(c), float(np.mean(res.eigenvalues[list(c)]))) for c in res.clusters[:2]]
+    ok = all(n == m and abs(v - t) < rel_tol * t for (n, v), m, t in zip(got, sizes, targets))
+    (n0, v0), (n1, v1) = got
+    target = ", ".join(f"{m} @ {t:.3f}" for m, t in zip(sizes, targets)) + " (1%)"
+    return _result(name, ok, v0, target, f"sizes {n0},{n1}; values {v0:.4f}, {v1:.4f}")
+
+
 def sphere_spectrum_check(subdivs=(3, 4, 5), rel_tol=0.01, order_floor=1.8, seed=0):
     """Uniform-density sphere spectrum vs l(l+1) harmonics, plus mesh order."""
-    lams = []
-    results = []
+    lams, results = [], []
     for s in subdivs:
-        mesh = gen_icosphere(s)
-        K = assemble_stiffness(mesh)
-        M = assemble_mass(mesh, uniform_density(mesh))
-        res = solve_pencil(K, M, k=9, seed=seed)
+        res = _uniform_spectrum(f"icosphere:{s}", 9, seed)
         lams.append(res.lambda1)
-        if s == subdivs[-2]:
-            c0, c1 = res.clusters[0], res.clusters[1]
-            v0 = float(np.mean(res.eigenvalues[list(c0)]))
-            v1 = float(np.mean(res.eigenvalues[list(c1)]))
-            ok = (len(c0) == 3 and len(c1) == 5
-                  and abs(v0 - 2 * 4 * math.pi) < rel_tol * 2 * 4 * math.pi
-                  and abs(v1 - 6 * 4 * math.pi) < rel_tol * 6 * 4 * math.pi)
-            results.append(_result(
-                "sphere spectrum clusters", ok, v0,
-                f"3 @ {2 * 4 * math.pi:.3f}, 5 @ {6 * 4 * math.pi:.3f} (1%)",
-                f"sizes {len(c0)},{len(c1)}; values {v0:.4f}, {v1:.4f}"))
+        if s == subdivs[-2]:  # l (l + 1) 4 pi at l = 1, 2
+            results.append(_clusters_check("sphere spectrum clusters", res, (3, 5),
+                                           (EIGHT_PI, 3 * EIGHT_PI), rel_tol))
     errs = [abs(l - EIGHT_PI) for l in lams]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     results.append(_result(
@@ -74,36 +76,22 @@ def torus_spectrum_check(n=48, rel_tol=0.01, seed=0, rel_gap=0.02):
     rel_gap must track the mesh: the diagonal edge direction splits the
     4-fold second eigenvalue by O(h^2), about 2.3% at n = 24.
     """
-    mesh = gen_flat_torus(SQUARE, n, n)
-    K = assemble_stiffness(mesh)
-    M = assemble_mass(mesh, uniform_density(mesh))
-    res = solve_pencil(K, M, k=10, seed=seed, rel_gap=rel_gap)
-    c0, c1 = res.clusters[0], res.clusters[1]
-    v0 = float(np.mean(res.eigenvalues[list(c0)]))
-    v1 = float(np.mean(res.eigenvalues[list(c1)]))
-    t0, t1 = 4 * math.pi ** 2, 8 * math.pi ** 2
-    ok = (len(c0) == 4 and len(c1) == 4
-          and abs(v0 - t0) < rel_tol * t0 and abs(v1 - t1) < rel_tol * t1)
-    return _result("square torus spectrum", ok, v0,
-                   f"4 @ {t0:.3f}, 4 @ {t1:.3f} (1%)",
-                   f"sizes {len(c0)},{len(c1)}; values {v0:.4f}, {v1:.4f}")
+    res = _uniform_spectrum(f"flat-torus:square:{n}", 10, seed, rel_gap=rel_gap)
+    t0 = SURFACES["flat-torus:square"].lambda1_area
+    return _clusters_check("square torus spectrum", res, (4, 4), (t0, 2 * t0), rel_tol)
 
 
-def run_sphere_max(s=4, seed=0):
-    mesh = gen_icosphere(s)
-    return (mesh,) + maximize(mesh, f"random:{seed}", AscentConfig(seed=seed))
-
-
-def run_torus_max(lattice, n, seed=0):
-    mesh = gen_flat_torus(lattice, n, n)
-    return (mesh,) + maximize(mesh, "uniform", AscentConfig(seed=seed))
+def _maximize(spec, init, seed):
+    """(mesh, lambda1*A, trace) of one maximize run on the generator spec."""
+    mesh = mesh_from_spec(spec)
+    _, spectral, _, trace = maximize(mesh, init, AscentConfig(seed=seed))
+    return mesh, spectral.lambda1, trace
 
 
 def fixed_point_check(mesh, name, tol=1e-6, seed=0):
     """Uniform density should be (numerically) stationary for ascent_step."""
-    A = mesh.area
     cfg = AscentConfig(seed=seed)
-    cap = cfg.n_schedule[-1] / A
+    cap = cfg.n_schedule[-1] / mesh.area
     mu = uniform_density(mesh, floor=0.0, cap=cap)
     mu_next, _, _, info = ascent_step(mesh, mu, cfg, assemble_stiffness(mesh))
     dist = float(mesh.vertex_areas @ np.abs(mu_next.values - mu.values))
@@ -124,21 +112,21 @@ def certificate_check(cert, name, sphere_tol=5e-2, recovery_tol=2e-2,
                    "all residuals under tolerance", detail)
 
 
-def bounds_check(records):
-    """Yang-Yau cap on every output; Hersch floor at converged optima."""
-    ok = True
+def bounds_check(runs):
+    """Yang-Yau cap on every output; Hersch floor at converged optima.
+
+    runs are (name, trace) pairs; each verdict is the one its certificate made.
+    """
     details = []
-    for name, lam, genus, converged in records:
-        cap = yang_yau_bound(genus) * 1.02
-        if lam > cap:
-            ok = False
-            details.append(f"{name}: {lam:.3f} > {cap:.3f}")
-        if converged and lam < EIGHT_PI * 0.98:
-            ok = False
+    for name, trace in runs:
+        bounds, lam = trace.certificate["bounds"], trace.certificate["lambda1_area"]
+        if not bounds["yang_yau_ok"]:
+            details.append(f"{name}: {lam:.3f} over the Yang-Yau bound")
+        if trace.status == "converged" and not bounds["hersch_floor_ok"]:
             details.append(f"{name}: {lam:.3f} < Hersch floor")
-    return _result("genus bounds on all outputs", ok, len(records),
+    return _result("genus bounds on all outputs", not details, len(runs),
                    "lam*A <= 8pi*floor((g+3)/2)*1.02; >= 8pi*0.98 at optima",
-                   "; ".join(details) or f"{len(records)} runs checked")
+                   "; ".join(details) or f"{len(runs)} runs checked")
 
 
 def property_checks(seed=0):
@@ -146,13 +134,13 @@ def property_checks(seed=0):
     out = []
 
     # stiffness conformal invariance, exact for power-of-two scalings
-    mesh = gen_icosphere(2)
-    K1 = assemble_stiffness(mesh).matrix
+    mesh = mesh_from_spec("icosphere:2")
+    K = assemble_stiffness(mesh)
     scaled = type(mesh)(mesh.vertex_count, mesh.triangles,
                         [(int(i), int(j), 2.0 * l) for (i, j), l in
                          zip(mesh.edges, mesh.edge_lengths)])
     K2 = assemble_stiffness(scaled).matrix
-    diff = abs(K1 - K2).max()
+    diff = abs(K.matrix - K2).max()
     out.append(_result("stiffness conformal invariance", diff == 0.0, diff,
                        "exact", f"max entry diff {diff}"))
 
@@ -178,9 +166,8 @@ def property_checks(seed=0):
                        "< 1e-12", f"max deviation {worst:.2e}"))
 
     # frame objective invariance under orthogonal basis change
-    K = assemble_stiffness(mesh)
-    md = uniform_density(mesh)
-    res = solve_pencil(K, assemble_mass(mesh, md), k=4, seed=seed)
+    M = assemble_mass(mesh, uniform_density(mesh))
+    res = solve_pencil(K, M, k=4, seed=seed)
     basis = res.cluster_basis(0)
     f1 = select_frame(basis, mesh).objective
     R = np.linalg.qr(rng.standard_normal((basis.shape[1],) * 2))[0]
@@ -190,7 +177,6 @@ def property_checks(seed=0):
                        "< 1e-10", f"objective diff {drel:.2e}"))
 
     # deflation constraint on returned eigenvectors
-    M = assemble_mass(mesh, md)
     cons = abs(np.ones(mesh.vertex_count) @ (M.matrix @ res.eigenvectors)).max()
     out.append(_result("deflation constraint", cons < 1e-10, cons, "< 1e-10",
                        f"max |1^T M u| = {cons:.2e}"))
@@ -227,8 +213,7 @@ def run_all(quick=False, seed=0):
     restarts = 5 if quick else 20
 
     # 1. sphere maximizer from a random start
-    mesh_s, mu_s, spec_s, frame_s, trace_s = run_sphere_max(s=s_main, seed=seed)
-    lam_s = spec_s.lambda1
+    mesh_s, lam_s, trace_s = _maximize(f"icosphere:{s_main}", f"random:{seed}", seed)
     rel = abs(lam_s - EIGHT_PI) / EIGHT_PI
     results.append(_result("sphere maximizer value", rel <= 0.02 * tol_mul, lam_s,
                            f"8pi = {EIGHT_PI:.4f} (2%)", f"lambda1*A = {lam_s:.4f}"))
@@ -237,16 +222,11 @@ def run_all(quick=False, seed=0):
     results.append(fixed_point_check(mesh_s, "sphere", tol=1e-6 * tol_mul, seed=seed))
 
     # 3. equilateral torus value + fixed point
-    mesh_t, mu_t, spec_t, frame_t, trace_t = run_torus_max(EQUILATERAL, n_torus,
-                                                           seed=seed)
-    lam_t = spec_t.lambda1
+    mesh_t, lam_t, trace_t = _maximize(f"flat-torus:equilateral:{n_torus}", "uniform", seed)
     rel_t = abs(lam_t - TORUS_MAX) / TORUS_MAX
-    results.append(_result("equilateral torus maximizer value",
-                           rel_t <= 0.02 * tol_mul, lam_t,
-                           f"8pi^2/sqrt3 = {TORUS_MAX:.4f} (2%)",
-                           f"lambda1*A = {lam_t:.4f}"))
-    results.append(fixed_point_check(mesh_t, "equilateral torus",
-                                     tol=1e-6 * tol_mul, seed=seed))
+    results.append(_result("equilateral torus maximizer value", rel_t <= 0.02 * tol_mul, lam_t,
+                           f"8pi^2/sqrt3 = {TORUS_MAX:.4f} (2%)", f"lambda1*A = {lam_t:.4f}"))
+    results.append(fixed_point_check(mesh_t, "equilateral torus", tol=1e-6 * tol_mul, seed=seed))
 
     # 4. eigensolver oracles
     subdivs = (2, 3, 4) if quick else (3, 4, 5)
@@ -255,11 +235,10 @@ def run_all(quick=False, seed=0):
                                         rel_gap=0.02 * tol_mul))
 
     # 5. certificates at the converged runs + refinement decrease
-    results.append(certificate_check(trace_s.certificate, "sphere",
-                                     5e-2 * tol_mul, 2e-2 * tol_mul, 5e-2 * tol_mul))
-    results.append(certificate_check(trace_t.certificate, "equilateral torus",
-                                     5e-2 * tol_mul, 2e-2 * tol_mul, 5e-2 * tol_mul))
-    _, _, _, _, trace_coarse = run_sphere_max(s=s_main - 1, seed=seed)
+    for trace, name in ((trace_s, "sphere"), (trace_t, "equilateral torus")):
+        results.append(certificate_check(trace.certificate, name,
+                                         5e-2 * tol_mul, 2e-2 * tol_mul, 5e-2 * tol_mul))
+    _, _, trace_coarse = _maximize(f"icosphere:{s_main - 1}", f"random:{seed}", seed)
     h_fine = trace_s.certificate["harmonic_weak_residual"]
     h_coarse = trace_coarse.certificate["harmonic_weak_residual"]
     results.append(_result("harmonic residual mesh refinement", h_fine < h_coarse,
@@ -270,25 +249,18 @@ def run_all(quick=False, seed=0):
                            trace_s.certificate["neg_set_measure"], "= 0", ""))
     results.append(saturation_check(trace_s, "sphere"))
 
-    # 6. bounds on everything this run produced
-    records = [
-        ("sphere max", lam_s, mesh_s.genus, trace_s.status == "converged"),
-        ("equilateral torus max", lam_t, mesh_t.genus, trace_t.status == "converged"),
-        ("coarse sphere max", trace_coarse.certificate["lambda1_area"], 0,
-         trace_coarse.status == "converged"),
-    ]
-
-    # 7. square torus vs brute-force oracle
-    mesh_q, mu_q, spec_q, frame_q, trace_q = run_torus_max(SQUARE, n_torus, seed=seed)
-    lam_q = spec_q.lambda1
+    # 6. square torus vs brute-force oracle
+    _, lam_q, trace_q = _maximize(f"flat-torus:square:{n_torus}", "uniform", seed)
     oracle = brute_force_torus_max(n=12, restarts=restarts, seed=seed)
     rel_q = abs(lam_q - oracle) / oracle
     results.append(_result("square torus vs brute-force oracle", rel_q <= 0.03,
                            lam_q, f"oracle {oracle:.4f} (3%)",
                            f"main {lam_q:.4f}, oracle {oracle:.4f}, rel {rel_q:.3%}"))
-    records.append(("square torus max", lam_q, mesh_q.genus,
-                    trace_q.status == "converged"))
-    results.append(bounds_check(records))
+
+    # 7. bounds on everything this run produced
+    results.append(bounds_check([("sphere max", trace_s), ("equilateral torus max", trace_t),
+                                 ("coarse sphere max", trace_coarse),
+                                 ("square torus max", trace_q)]))
 
     # 8. property suites
     results.extend(property_checks(seed=seed))

@@ -14,6 +14,7 @@ import numpy as np
 from .fem import gradient_field
 from .frame import harmonic_residual, recover_density
 from .maximizer import _at_cap, detect_collapse, negative_measure, saturated_measure
+from .mesh import SURFACES
 
 CERT_SCHEMA = "confspec-cert-1"
 _TOL_MESH = 0.02
@@ -21,8 +22,8 @@ _SINGULAR_REL = 1e-3  # singular vertex: grad_sum below this fraction of its mea
 
 
 def yang_yau_bound(genus):
-    """Genus-dependent upper bound 8*pi*floor((genus + 3) / 2)."""
-    return 8.0 * np.pi * ((genus + 3) // 2)
+    """Genus-dependent upper bound 8*pi*floor((genus + 3) / 2); 8*pi at genus 0."""
+    return SURFACES["icosphere"].lambda1_area * ((genus + 3) // 2)
 
 
 def certificate(mesh, mu, spectral, frame, K):
@@ -54,8 +55,7 @@ def certificate(mesh, mu, spectral, frame, K):
         {"vertex": int(v), "w": float(frame.w[v]), "grad_sum": float(grad_sum[v])}
         for v in singular]
 
-    genus = mesh.genus
-    bound = yang_yau_bound(genus)
+    bound = yang_yau_bound(mesh.genus)
     cert = {
         "schema": CERT_SCHEMA,
         "lambda1_area": float(lam_area),
@@ -68,10 +68,10 @@ def certificate(mesh, mu, spectral, frame, K):
             saturated_measure(mesh, mu) * mu.cap if mu.cap is not None else 0.0),
         "singular_vertices": singular_vertices,
         "bounds": {
-            "genus": int(genus),
+            "genus": int(mesh.genus),
             "bound_value": float(bound),
             "yang_yau_ok": bool(lam_area <= bound * (1.0 + _TOL_MESH)),
-            "hersch_floor_ok": bool(lam_area >= 8.0 * np.pi * (1.0 - _TOL_MESH)),
+            "hersch_floor_ok": bool(lam_area >= yang_yau_bound(0) * (1.0 - _TOL_MESH)),
         },
         "collapse": detect_collapse(mu, mesh),
     }

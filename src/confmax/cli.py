@@ -26,8 +26,7 @@ from .fem import DensityError, assemble_mass, assemble_stiffness, export_matrix_
 from .frame import FrameError
 from .maximizer import (RANDOM_SPEC, AscentConfig, ProjectionError, make_initial_density,
                         maximize, trace_csv_rows)
-from .mesh import (MeshError, gen_flat_torus, gen_icosphere, load_mesh, mesh_stats,
-                   save_intrinsic_json)
+from .mesh import MeshError, load_mesh, mesh_from_spec, mesh_stats, save_intrinsic_json
 
 EXIT_OK = 0
 EXIT_ACCEPT_FAIL = 1
@@ -38,8 +37,6 @@ EXIT_NUMERIC = 3
 _ASCENT_FIELDS = {"n_schedule": "n_schedule", "damping": "damping",
                   "max_iters": "max_iters", "tol": "lam_tol", "floor": "floor",
                   "seed": "seed", "k": "k_eigen"}
-
-_LATTICES = {"square": bench_mod.SQUARE, "equilateral": bench_mod.EQUILATERAL}
 
 
 def _read_config_file(path):
@@ -72,25 +69,6 @@ def n_schedule(text):
     return tuple(float(x) for x in text.split(","))
 
 
-def _build_mesh(gen, mesh_path):
-    if gen and mesh_path:
-        raise MeshError("give either --gen or --mesh, not both")
-    if gen:
-        kind, *fields = gen.split(":")
-        if kind == "icosphere" and len(fields) == 1:
-            return gen_icosphere(int(fields[0]))
-        if kind == "flat-torus" and len(fields) in (2, 3):
-            lattice = _LATTICES.get(fields[0])
-            if lattice is None:
-                raise MeshError(f"unknown lattice {fields[0]!r}")
-            return gen_flat_torus(lattice, int(fields[1]), int(fields[-1]))
-        raise MeshError(f"bad generator {gen!r}: expected icosphere:LEVEL "
-                        "or flat-torus:LATTICE:NX[:NY]")
-    if mesh_path:
-        return load_mesh(mesh_path)
-    raise MeshError("a mesh source is required (--gen or --mesh)")
-
-
 def _density_init(spec):
     if spec == "uniform" or RANDOM_SPEC.fullmatch(spec):
         return spec
@@ -110,7 +88,11 @@ def _ascent_config(args):
 
 def _inputs(args):
     """The mesh, the AscentConfig and the start density that args name."""
-    return _build_mesh(args.gen, args.mesh), _ascent_config(args), _density_init(args.density)
+    if bool(args.gen) == bool(args.mesh):
+        raise MeshError("give either --gen or --mesh, not both" if args.gen
+                        else "a mesh source is required (--gen or --mesh)")
+    mesh = mesh_from_spec(args.gen) if args.gen else load_mesh(args.mesh)
+    return mesh, _ascent_config(args), _density_init(args.density)
 
 
 def _write_csv(path, header, rows):

@@ -35,12 +35,8 @@ class DensityField:
     cap: float | None = None
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=float)
+        vals = _vertex_values(self.mesh, self.values)
         object.__setattr__(self, "values", vals)
-        if vals.shape != (self.mesh.vertex_count,):
-            raise DensityError("density must have one value per vertex")
-        if not np.all(np.isfinite(vals)):
-            raise DensityError("density values must be finite")
         slack = 1e-9
         if self.floor is not None and np.any(vals < self.floor - slack):
             raise DensityError(f"density below floor {self.floor}")
@@ -53,6 +49,14 @@ class DensityField:
     def mass(self):
         """Integral of the P1 density over the mesh (exact quadrature)."""
         return float(self.mesh.vertex_areas @ self.values)
+
+
+def _vertex_values(mesh, values):
+    """values as a contiguous float array, a DensityError unless one finite value per vertex."""
+    vals = np.ascontiguousarray(values, dtype=float)
+    if vals.shape != (mesh.vertex_count,) or not np.all(np.isfinite(vals)):
+        raise DensityError(f"density must hold {mesh.vertex_count} finite values, one per vertex")
+    return vals
 
 
 def uniform_density(mesh, floor=None, cap=None):
@@ -185,11 +189,12 @@ def assemble_stiffness(mesh):
 def assemble_mass(mesh, density):
     """Mass matrix for the P1 density (DensityField or raw per-vertex array).
 
-    Integrates hat x hat x (P1 density) exactly per triangle. Only a density
-    with a negative value can make M indefinite; solve_pencil tests the sign
-    of such an M with one banded Cholesky factorization.
+    Integrates hat x hat x (P1 density) exactly per triangle. A raw array need
+    not have unit mass, but must be (V,) and finite. Only a density with a
+    negative value can make M indefinite; solve_pencil tests the sign of such
+    an M with one banded Cholesky factorization.
     """
-    mu = density.values if isinstance(density, DensityField) else np.asarray(density, float)
+    mu = density.values if isinstance(density, DensityField) else _vertex_values(mesh, density)
     corner = mu[mesh.triangles] * (mesh.areas / 60.0)[:, None]
     return MassMatrix(_assemble(mesh, corner @ _MASS_BASIS), bool(mu.min() >= 0.0))
 

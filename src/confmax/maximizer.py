@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .eigen import DEFAULT_REL_GAP, solve_pencil
-from .fem import (DensityError, DensityField, assemble_mass, assemble_stiffness,
+from .fem import (DensityField, _vertex_values, assemble_mass, assemble_stiffness,
                   random_density, uniform_density)
 from .frame import recover_density, select_frame
 
@@ -235,11 +235,8 @@ def make_initial_density(mesh, init, floor, cap, seed=0):
         else:
             raise ValueError(f"unknown density init {init!r}")
     else:
-        vals = np.asarray(init, dtype=float)
-    if vals.shape != (mesh.vertex_count,) or not np.all(np.isfinite(vals)):
-        raise DensityError(f"density must hold {mesh.vertex_count} finite values, "
-                           "one per vertex")
-    return project_density(mesh, vals, floor, cap)
+        vals = init
+    return project_density(mesh, _vertex_values(mesh, vals), floor, cap)
 
 
 def maximize(mesh, mu0, config=AscentConfig()):

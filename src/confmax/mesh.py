@@ -5,10 +5,12 @@ assembly routine reads only the edge lengths.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -19,22 +21,16 @@ class MeshError(ValueError):
     """Invalid mesh input: non-manifold, open, mis-oriented or degenerate."""
 
 
-def _kahan_heron(a, b, c):
-    """Triangle areas from edge lengths, Kahan's stable ordering.
+def triangle_areas(tri_lengths):
+    """Areas for an (F, 3) array of per-triangle edge lengths.
 
-    Expects a >= b >= c per row; raises on triangle-inequality violations.
+    Heron's formula in Kahan's stable ordering; raises on triangle-inequality violations.
     """
+    c, b, a = np.sort(np.asarray(tri_lengths, dtype=float), axis=1).T  # a >= b >= c
     bad = c - (a - b) <= 0
     if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise MeshError(f"triangle inequality violated at triangle {idx}")
+        raise MeshError(f"triangle inequality violated at triangle {int(np.argmax(bad))}")
     return 0.25 * np.sqrt((a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c)))
-
-
-def triangle_areas(tri_lengths):
-    """Areas for an (F, 3) array of per-triangle edge lengths."""
-    s = np.sort(np.asarray(tri_lengths, dtype=float), axis=1)
-    return _kahan_heron(s[:, 2], s[:, 1], s[:, 0])
 
 
 def _as_triangles(triangles, vertex_count):
@@ -278,11 +274,12 @@ def gen_icosphere(subdivisions):
     return TriangleMesh.from_embedding(verts, faces)
 
 
-def gen_flat_torus(basis, nx, ny):
+def gen_flat_torus(basis, nx, ny=None):
     """Intrinsic flat torus R^2/Gamma on an nx x ny grid, two triangles per cell.
 
-    `basis` is a 2x2 matrix whose rows are the lattice vectors.
+    `basis` is a 2x2 matrix whose rows are the lattice vectors; ny defaults to nx.
     """
+    ny = nx if ny is None else ny
     basis = np.asarray(basis, dtype=float)
     if basis.shape != (2, 2):
         raise ValueError("basis must be a 2x2 matrix")
@@ -303,6 +300,52 @@ def gen_flat_torus(basis, nx, ny):
     tail, head = _corner_pairs(tris)
     lengths = np.tile([lx, ly, ld, ld, lx, ly], nx * ny)
     return TriangleMesh(nx * ny, tris, np.column_stack([tail, head, lengths]))
+
+
+# -- the surface table: the one place a generator spec is defined ---------------
+
+EQUILATERAL = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+SQUARE = np.array([[1.0, 0.0], [0.0, 1.0]])
+EQUILATERAL.flags.writeable = SQUARE.flags.writeable = False
+
+
+class Surface(NamedTuple):
+    """A generated conformal class: one row of SURFACES."""
+    grammar: str  # its spec with the size fields named, [...] optional
+    build: Callable[..., TriangleMesh]  # the size fields, as ints, to the mesh
+    lambda1_area: float  # closed-form Lambda1, the largest lambda1*A over the class
+
+
+# each row calls its generator by name, so a wrapper installed on one sees the call
+SURFACES = {
+    "icosphere": Surface("icosphere:S", lambda s: gen_icosphere(s),
+                         8.0 * math.pi),  # Hersch 1970
+    "flat-torus:square": Surface("flat-torus:square:NX[:NY]",
+                                 lambda nx, ny=None: gen_flat_torus(SQUARE, nx, ny),
+                                 4.0 * math.pi ** 2),
+    "flat-torus:equilateral": Surface("flat-torus:equilateral:NX[:NY]",
+                                      lambda nx, ny=None: gen_flat_torus(EQUILATERAL, nx, ny),
+                                      8.0 * math.pi ** 2 / math.sqrt(3.0)),  # Nadirashvili 1996
+}
+
+
+def mesh_from_spec(spec):
+    """The mesh a generator spec names: a SURFACES key, then its size fields.
+
+    Each size field is plain decimal digits. Any other spec is a MeshError that
+    quotes it and lists each row's grammar.
+    """
+    for kind, row in SURFACES.items():
+        sizes = spec.removeprefix(kind + ":").split(":")
+        if spec.startswith(kind + ":") and all(s.isascii() and s.isdigit() for s in sizes):
+            try:  # too many or too few size fields
+                args = inspect.signature(row.build).bind(*map(int, sizes)).args
+            except TypeError:
+                break
+            return row.build(*args)
+    grammars = ", ".join(row.grammar for row in SURFACES.values())
+    raise MeshError(f"bad generator {spec!r}: expected one of {grammars}, "
+                    "each size plain decimal digits")
 
 
 # -- file I/O --------------------------------------------------------------------

@@ -1,13 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from confmax.fem import DensityField
-from confmax.mesh import gen_flat_torus, gen_icosphere
-
-EQUILATERAL = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-SQUARE = np.eye(2)
+from confmax.mesh import EQUILATERAL, SQUARE, gen_flat_torus, gen_icosphere
 
 
 def tilted_density(mesh, seed):

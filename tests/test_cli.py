@@ -12,7 +12,7 @@ from confmax.bench import BenchResult
 from confmax.cli import _ascent_config, build_parser, main
 from confmax.eigen import EigenError
 from confmax.maximizer import AscentConfig
-from confmax.mesh import gen_icosphere, mesh_stats, save_intrinsic_json
+from confmax.mesh import SURFACES, gen_icosphere, mesh_stats, save_intrinsic_json
 from conftest import disjoint_sphere_and_torus
 
 
@@ -268,8 +268,13 @@ _BAD_DENSITIES = {  # icosphere:2 has 162 vertices
 }
 
 
+# a size field is plain decimal digits, and a lattice is one of the table's
+_BAD_SPECS = ["icosphere:+2", "icosphere: 2", "icosphere:x", "flat-torus:square:24:",
+              "flat-torus:hex:8"]
+
+
 @pytest.mark.parametrize("case", ["icosphere", "flat-torus:square", *_BAD_DENSITIES,
-                                  "off-face-out-of-range"])
+                                  "off-face-out-of-range", *_BAD_SPECS])
 def test_malformed_input_exits_with_input_error(tmp_path, capsys, case):
     argv = ["spectrum", "--out", str(tmp_path / "o")]
     if case in _BAD_DENSITIES:
@@ -283,7 +288,10 @@ def test_malformed_input_exits_with_input_error(tmp_path, capsys, case):
     else:
         argv += ["--gen", case]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if case in _BAD_SPECS:  # the message quotes the spec and lists the grammar
+        assert repr(case) in err and all(row.grammar in err for row in SURFACES.values())
 
 
 @pytest.mark.parametrize("iters", ["0", "-3"])

@@ -139,6 +139,17 @@ def test_density_field_constraints(sphere2):
                      cap=0.5 / sphere2.area)
 
 
+def test_mass_refuses_a_malformed_raw_density():
+    mesh = gen_icosphere(1)
+    V = mesh.vertex_count
+    for bad in (np.ones(V + 5), [math.nan] * V, [1.0] * (V - 1) + [math.inf]):
+        with pytest.raises(DensityError, match=f"must hold {V} finite values, one per vertex"):
+            assemble_mass(mesh, bad)
+    # a raw array need not have unit mass
+    M = assemble_mass(mesh, 2.0 * np.ones(V)).matrix
+    assert M.sum() == pytest.approx(2.0 * mesh.area, rel=1e-12)
+
+
 def test_random_density_reproducible(sphere2):
     a = random_density(sphere2, seed=7)
     b = random_density(sphere2, seed=7)

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from confmax.mesh import (_ICO_FACES, _ICO_VERTS, MeshError, TriangleMesh, gen_flat_torus,
-                          gen_icosphere, load_mesh, mesh_stats, save_intrinsic_json)
+from confmax.eigen import solve_pencil
+from confmax.fem import assemble_mass, assemble_stiffness, uniform_density
+from confmax.mesh import (_ICO_FACES, _ICO_VERTS, SURFACES, MeshError, TriangleMesh,
+                          gen_flat_torus, gen_icosphere, load_mesh, mesh_from_spec, mesh_stats,
+                          save_intrinsic_json)
 from conftest import EQUILATERAL, SQUARE, disjoint_sphere_and_torus
 
 
@@ -341,3 +344,30 @@ def test_flat_torus_matches_loop_reference():
     assert np.array_equal(m.triangles, tris)
     assert np.array_equal(m.edges, sorted(lengths))
     assert np.array_equal(m.edge_lengths, [lengths[k] for k in sorted(lengths)])
+
+
+# per SURFACES row: a spec with the generator call it names, and the size of a
+# mesh whose uniform lambda1*A is within 1% of the row's closed form
+_ROWS = {
+    "icosphere": ("icosphere:2", lambda: gen_icosphere(2), 3),
+    "flat-torus:square": ("flat-torus:square:6:7", lambda: gen_flat_torus(SQUARE, 6, 7), 24),
+    "flat-torus:equilateral": ("flat-torus:equilateral:5",
+                               lambda: gen_flat_torus(EQUILATERAL, 5, 5), 24),
+}
+
+
+@pytest.mark.parametrize("kind", list(SURFACES))
+def test_spec_builds_the_generators_mesh(kind):
+    spec, direct, _ = _ROWS[kind]
+    got, want = mesh_from_spec(spec), direct()
+    assert np.array_equal(got.triangles, want.triangles)
+    assert np.array_equal(got.edges, want.edges)
+    assert np.array_equal(got.edge_lengths, want.edge_lengths)
+
+
+@pytest.mark.parametrize("kind", list(SURFACES))
+def test_uniform_lambda1_matches_the_closed_form(kind):
+    mesh = mesh_from_spec(f"{kind}:{_ROWS[kind][2]}")
+    res = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh, uniform_density(mesh)), k=1)
+    target = SURFACES[kind].lambda1_area
+    assert abs(res.lambda1 - target) <= 0.01 * target
