@@ -49,7 +49,7 @@ def _clusters_check(name, res, sizes, targets, rel_tol):
     got = [(len(c), float(np.mean(res.eigenvalues[list(c)]))) for c in res.clusters[:2]]
     ok = all(n == m and abs(v - t) < rel_tol * t for (n, v), m, t in zip(got, sizes, targets))
     (n0, v0), (n1, v1) = got
-    target = ", ".join(f"{m} @ {t:.3f}" for m, t in zip(sizes, targets)) + " (1%)"
+    target = ", ".join(f"{m} @ {t:.3f}" for m, t in zip(sizes, targets)) + f" ({rel_tol:.0%})"
     return _result(name, ok, v0, target, f"sizes {n0},{n1}; values {v0:.4f}, {v1:.4f}")
 
 
@@ -186,9 +186,11 @@ def property_checks(seed=0):
 def monotonicity_check(trace, name, lam_tol=AscentConfig.lam_tol):
     lams = [r.lambda1_area for r in trace.rows]
     ok = all(b >= a * (1.0 - 10 * lam_tol) for a, b in zip(lams, lams[1:]))
-    worst = min(b - a for a, b in zip(lams, lams[1:])) if len(lams) > 1 else 0.0
-    return _result(f"{name} accepted-step monotonicity", ok, worst,
-                   "non-decreasing within tolerance", f"min step {worst:.2e}")
+    steps = [b - a for a, b in zip(lams, lams[1:])]
+    rows = f"{len(lams)} row{'' if len(lams) == 1 else 's'}"
+    detail = f"{rows}, min step {min(steps):.2e}" if steps else f"{rows}, no step to compare"
+    return _result(f"{name} accepted-step monotonicity", ok, min(steps, default=0.0),
+                   "non-decreasing within tolerance", detail)
 
 
 def saturation_check(trace, name):

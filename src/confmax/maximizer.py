@@ -23,6 +23,10 @@ from .frame import recover_density, select_frame
 COLLAPSE_RADIUS = 0.05  # collapse ball radius, a fraction of the diameter
 RANDOM_SPEC = re.compile(r"random(?::(\d+))?")  # a seeded random initial density
 _SLAB = 2 ** 18  # entries in one block's (sources, V) float64 distance slab: 2 MB
+# relative slack of the ascent safeguard: a trial within SAFEGUARD_SLACK * lambda
+# below the iterate is accepted, so a move of lambda this small is eigensolver
+# jitter the safeguard cannot tell from standing still
+SAFEGUARD_SLACK = 1e-12
 
 
 class ProjectionError(RuntimeError):
@@ -92,7 +96,10 @@ class AscentTrace:
     rows: list = field(default_factory=list)
     status: str = "converged"
     saturation_constant: float = 0.0  # max over schedule of A(E_N) * N
-    skipped_stages: list = field(default_factory=list)  # N values run without iterations
+    # N values run without iterations: a stage before them ended on a step no
+    # trial capped that moved lambda by at most SAFEGUARD_SLACK (rejected: exact
+    # to the bit; accepted: exact to the safeguard's resolution)
+    skipped_stages: list = field(default_factory=list)
     certificate: dict | None = None
 
 
@@ -154,7 +161,7 @@ def ascent_step(mesh, mu_k, config, K):
     # accept only non-decreasing moves (tiny slack for eigensolver jitter);
     # anything looser breaks both the monotone-trace invariant and the exact
     # fixed-point behaviour at symmetric optima
-    tol_abs = 1e-12 * lam_k
+    tol_abs = SAFEGUARD_SLACK * lam_k
     t = config.damping
     accepted = (lam_k, mu_k, 0.0)  # kept when every trial decreases lambda
     capped = False
@@ -243,14 +250,22 @@ def maximize(mesh, mu0, config=AscentConfig()):
     """Continuation over the N schedule; returns (mu*, spectral, frame, trace).
 
     Each stage projects mu into the box [floor, N/A] and iterates ascent_step
-    until a step is rejected or lambda stops moving. Once a stage ends on a
-    rejected step none of whose trials reached the cap, every later stage only
-    re-projects mu and runs no iterations; its N goes to trace.skipped_stages.
-    This is exact to the bit: no trial was clipped at the cap and the floor is
-    fixed, so a larger cap gives bitwise the same trial projections, the stage
-    would repeat the same rejected step, and by induction so would every later
-    one. A skipped stage inherits the ending of the stage it repeats, so any
-    status that describes how a stage ended applies to it unchanged.
+    until a step is rejected or lambda stops moving. A stage settles the run
+    when it ends on a step that moved lambda by at most SAFEGUARD_SLACK * lambda
+    and none of whose trials reached the cap: a rejected step (lambda does not
+    move) or an accepted one the safeguard cannot resolve. Every later stage
+    then only re-projects mu and runs no iterations; its N goes to
+    trace.skipped_stages. Skipping is exact in this sense:
+    - a rejected step is exact to the bit: the floor is fixed and no trial was
+      clipped at the cap, so a larger cap gives bitwise the same trial
+      projections, the stage would repeat the same rejected step, and by
+      induction so would every later one;
+    - an accepted step is exact to the safeguard's resolution: with the cap not
+      binding, each skipped stage would retake a step of the same map, one the
+      safeguard cannot tell from standing still (on a flat torus from uniform,
+      the round-off step off an exact fixed point).
+    A skipped stage inherits the ending of the stage it repeats, so any status
+    that describes how a stage ended applies to it unchanged.
     """
     from .certify import certificate  # local import: certify depends on this module
 
@@ -258,7 +273,7 @@ def maximize(mesh, mu0, config=AscentConfig()):
     floor = config.floor / mesh.area
     trace = AscentTrace()
     mu = mu0
-    settled = False  # a stage ended on a rejected step that no cap could bind
+    settled = False  # a stage ended on a step no cap bound and the safeguard cannot resolve
 
     for n_rel in config.n_schedule:
         cap = n_rel / mesh.area
@@ -279,12 +294,12 @@ def maximize(mesh, mu0, config=AscentConfig()):
                 frame_steps=frame.iterations, frame_stop=frame.stop_reason,
                 trials=info["trials"], applications=info["applications"],
                 wall_ms=wall))
-            moved = info["step"] > 0.0
-            lam_change = abs(info["lambda_next"] - spectral.lambda1)
+            lam_change = abs(info["lambda_next"] - spectral.lambda1)  # 0 on a rejected step
             mu = mu_next
-            if not moved or lam_change <= config.lam_tol * spectral.lambda1:
+            if lam_change <= config.lam_tol * spectral.lambda1:
                 converged = True
-                settled = not moved and not info["capped"]
+                settled = (lam_change <= SAFEGUARD_SLACK * spectral.lambda1
+                           and not info["capped"])
                 break
         if not converged:
             trace.status = "iteration-cap"

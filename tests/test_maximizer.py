@@ -17,7 +17,7 @@ from confmax.maximizer import (AscentConfig, ProjectionError, ascent_step,
                                negative_measure, project_density,
                                saturated_measure, trace_csv_rows)
 from confmax.mesh import gen_flat_torus, gen_icosphere
-from conftest import EQUILATERAL, polar_cap, tilted_density, vanishing_density
+from conftest import EQUILATERAL, SQUARE, polar_cap, tilted_density, vanishing_density
 
 
 def test_config_validation():
@@ -205,6 +205,33 @@ def test_lambda1_trials_agree_with_leading_block_at_a_tie(monkeypatch):
     for K, M, kwargs, lam in trials:
         block = solve(K, M, 8, **kwargs).lambda1
         assert abs(lam - block) <= 1e-12 * block
+
+
+@pytest.mark.parametrize("lattice, lam_three_stages", [
+    (SQUARE, 40.38835488945399), (EQUILATERAL, 46.636455135108164)])
+def test_flat_torus_settles_on_a_step_the_safeguard_cannot_resolve(lattice, lam_three_stages):
+    # uniform is an exact fixed point: the N=4 step is accepted but moves lambda
+    # by round-off, under the safeguard slack, and no trial reaches the cap
+    mesh = gen_flat_torus(lattice, 12, 12)
+    _, spectral, _, trace = maximize(mesh, "uniform", AscentConfig())
+    assert [row.N for row in trace.rows] == [4.0]
+    assert trace.rows[0].step > 0.0
+    assert trace.skipped_stages == [16.0, 64.0]
+    assert trace.status == "converged"
+    # the value the run reaches when the N=16 and N=64 stages retake that step
+    assert spectral.lambda1 == pytest.approx(lam_three_stages, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_stage_runs_when_its_last_step_moved_lambda_past_the_slack(sphere2):
+    # every stage ends on an accepted step that moves lambda by about 1e-7
+    # relative: under lam_tol but far over the safeguard slack, so no stage
+    # settles the run
+    _, spectral, _, trace = maximize(sphere2, "random:0", AscentConfig())
+    assert len(trace.rows) == 44
+    assert {row.N for row in trace.rows} == {4.0, 16.0, 64.0}
+    assert trace.skipped_stages == []
+    assert spectral.lambda1 == 25.229982926811722
 
 
 def _tilted_sphere_run(n_schedule):
