@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import solve_pencil
-from .fem import assemble_mass, assemble_stiffness, uniform_density
+from .fem import DensityField, assemble_mass, assemble_stiffness, uniform_density
 from .frame import select_frame
 from .maximizer import AscentConfig, ascent_step, maximize
 from .mesh import EQUILATERAL, SQUARE, SURFACES, mesh_from_spec  # noqa: F401
@@ -22,6 +22,7 @@ from .oracle import brute_force_torus_max
 # perfbench/workloads.py reads EIGHT_PI, TORUS_MAX, EQUILATERAL and SQUARE from here
 EIGHT_PI = SURFACES["icosphere"].lambda1_area
 TORUS_MAX = SURFACES["flat-torus:equilateral"].lambda1_area
+ORDER_FLOOR = 1.8  # least convergence order of the uniform sphere's lambda_1
 
 
 @dataclass
@@ -53,7 +54,7 @@ def _clusters_check(name, res, sizes, targets, rel_tol):
     return _result(name, ok, v0, target, f"sizes {n0},{n1}; values {v0:.4f}, {v1:.4f}")
 
 
-def sphere_spectrum_check(subdivs=(3, 4, 5), rel_tol=0.01, order_floor=1.8, seed=0):
+def sphere_spectrum_check(subdivs=(3, 4, 5), rel_tol=0.01, seed=0):
     """Uniform-density sphere spectrum vs l(l+1) harmonics, plus mesh order."""
     lams, results = [], []
     for s in subdivs:
@@ -65,8 +66,8 @@ def sphere_spectrum_check(subdivs=(3, 4, 5), rel_tol=0.01, order_floor=1.8, seed
     errs = [abs(l - EIGHT_PI) for l in lams]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     results.append(_result(
-        "sphere eigenvalue convergence order", min(orders) >= order_floor,
-        min(orders), f">= {order_floor}", f"orders {['%.2f' % o for o in orders]}"))
+        "sphere eigenvalue convergence order", min(orders) >= ORDER_FLOOR,
+        min(orders), f">= {ORDER_FLOOR}", f"orders {['%.2f' % o for o in orders]}"))
     return results
 
 
@@ -92,7 +93,7 @@ def fixed_point_check(mesh, name, tol=1e-6, seed=0):
     """Uniform density should be (numerically) stationary for ascent_step."""
     cfg = AscentConfig(seed=seed)
     cap = cfg.n_schedule[-1] / mesh.area
-    mu = uniform_density(mesh, floor=0.0, cap=cap)
+    mu = DensityField(mesh, uniform_density(mesh).values, 0.0, cap)
     mu_next, _, _, info = ascent_step(mesh, mu, cfg, assemble_stiffness(mesh))
     dist = float(mesh.vertex_areas @ np.abs(mu_next.values - mu.values))
     return _result(f"{name} uniform fixed point", dist <= tol, dist,
@@ -183,9 +184,9 @@ def property_checks(seed=0):
     return out
 
 
-def monotonicity_check(trace, name, lam_tol=AscentConfig.lam_tol):
+def monotonicity_check(trace, name):
     lams = [r.lambda1_area for r in trace.rows]
-    ok = all(b >= a * (1.0 - 10 * lam_tol) for a, b in zip(lams, lams[1:]))
+    ok = all(b >= a * (1.0 - 10 * AscentConfig.lam_tol) for a, b in zip(lams, lams[1:]))
     steps = [b - a for a, b in zip(lams, lams[1:])]
     rows = f"{len(lams)} row{'' if len(lams) == 1 else 's'}"
     detail = f"{rows}, min step {min(steps):.2e}" if steps else f"{rows}, no step to compare"

@@ -18,11 +18,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.io import mmwrite
 
 from . import bench as bench_mod
 from .certify import save_certificate
 from .eigen import EigenError, solve_pencil, spectrum_rows
-from .fem import DensityError, assemble_mass, assemble_stiffness, export_matrix_market
+from .fem import DensityError, assemble_mass, assemble_stiffness
 from .frame import FrameError
 from .maximizer import (RANDOM_SPEC, AscentConfig, ProjectionError, make_initial_density,
                         maximize, trace_csv_rows)
@@ -34,9 +35,8 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 # flag dest -> AscentConfig field; a flag left unset keeps the field's default
-_ASCENT_FIELDS = {"n_schedule": "n_schedule", "damping": "damping",
-                  "max_iters": "max_iters", "tol": "lam_tol", "floor": "floor",
-                  "seed": "seed", "k": "k_eigen"}
+_ASCENT_FIELDS = {"n_schedule": "n_schedule", "max_iters": "max_iters", "tol": "lam_tol",
+                  "floor": "floor", "seed": "seed", "k": "k_eigen"}
 
 
 def _read_config_file(path):
@@ -102,6 +102,12 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def _dump_matrices(out, K, M):
+    """Write K and M as MatrixMarket coordinate files stiffness.mtx and mass.mtx."""
+    mmwrite(str(out / "stiffness.mtx"), K.matrix)
+    mmwrite(str(out / "mass.mtx"), M.matrix)
+
+
 def cmd_spectrum(args):
     mesh, config, init = _inputs(args)
     floor = config.floor / mesh.area
@@ -123,8 +129,7 @@ def cmd_spectrum(args):
     }
     (out / "spectrum.json").write_text(json.dumps(summary, indent=2))
     if args.dump_matrices:
-        export_matrix_market(K.matrix, out / "stiffness.mtx")
-        export_matrix_market(M.matrix, out / "mass.mtx")
+        _dump_matrices(out, K, M)
     print(f"lambda1_area = {result.lambda1:.6f}  "
           f"(first cluster size {len(result.clusters[0])})")
     return EXIT_OK
@@ -151,8 +156,7 @@ def cmd_maximize(args):
     }
     (out / "final.json").write_text(json.dumps(state, indent=2))
     if args.dump_matrices:
-        export_matrix_market(assemble_stiffness(mesh).matrix, out / "stiffness.mtx")
-        export_matrix_market(assemble_mass(mesh, mu).matrix, out / "mass.mtx")
+        _dump_matrices(out, assemble_stiffness(mesh), assemble_mass(mesh, mu))
     print(f"status = {trace.status}  lambda1_area = {spectral.lambda1:.6f}")
     return EXIT_OK
 
@@ -194,7 +198,6 @@ def build_parser(config=None):
         sp.add_argument("-k", type=int)
         sp.add_argument("--dump-matrices", action="store_true")
         sp.add_argument("--seed", type=int)
-    maximize.add_argument("--damping", type=float)
     maximize.add_argument("--tol", type=float)
     maximize.add_argument("--max-iters", type=int)
     bench.add_argument("--seed", type=int, default=AscentConfig.seed)

@@ -59,8 +59,8 @@ def _vertex_values(mesh, values):
     return vals
 
 
-def uniform_density(mesh, floor=None, cap=None):
-    return DensityField(mesh, np.full(mesh.vertex_count, 1.0 / mesh.area), floor, cap)
+def uniform_density(mesh):
+    return DensityField(mesh, np.full(mesh.vertex_count, 1.0 / mesh.area))
 
 
 def random_density(mesh, seed):
@@ -99,22 +99,20 @@ class StiffnessMatrix:
         at icosphere 6 (106 MB and 20 ms against 84 MB and 14 ms) and on the
         n = 96 equilateral torus (21 MB and 2.1 ms against 16 MB and 1.7 ms).
         """
-        grounded = self.matrix[1:, 1:]
-        order = reverse_cuthill_mckee(grounded, symmetric_mode=True)
-        return 1 + order, cholesky_banded(upper_band(grounded[order][:, order]))
+        return self._grounded_gather[0], cholesky_banded(upper_band(self.grounded(self.matrix)))
 
     @cached_property
     def _grounded_gather(self):
-        """(take, indices, indptr) of the grounded, reordered CSR pattern.
+        """(order, take, indices, indptr): the RCM order and its grounded CSR plan.
 
         Found once by sending entry numbers through the fancy indexing that
         grounded() replaces, so the planned matrix has its pattern exactly.
         """
-        order = self.grounded_factor[0]
         K = self.matrix
+        order = 1 + reverse_cuthill_mckee(K[1:, 1:], symmetric_mode=True)
         slots = sparse.csr_matrix((np.arange(K.nnz), K.indices, K.indptr),
                                   shape=K.shape)[order][:, order]
-        return slots.data, slots.indices, slots.indptr
+        return order, slots.data, slots.indices, slots.indptr
 
     def grounded(self, matrix):
         """matrix[order][:, order] for the factor's order, by one gather.
@@ -127,7 +125,7 @@ class StiffnessMatrix:
         if not (np.array_equal(matrix.indptr, K.indptr)
                 and np.array_equal(matrix.indices, K.indices)):
             raise ValueError("mass and stiffness matrices are not on one mesh's pattern")
-        take, indices, indptr = self._grounded_gather
+        _, take, indices, indptr = self._grounded_gather
         n = len(indptr) - 1
         return sparse.csr_matrix((matrix.data[take], indices, indptr), shape=(n, n))
 
@@ -213,9 +211,3 @@ def gradient_field(mesh, U):
     vert = np.bincount(mesh.triangles.ravel(), weights=np.repeat(energy / 3.0, 3),
                        minlength=mesh.vertex_count)
     return energy / mesh.areas, vert / mesh.vertex_areas
-
-
-def export_matrix_market(matrix, path):
-    """Dump a sparse matrix as a MatrixMarket coordinate file."""
-    from scipy.io import mmwrite
-    mmwrite(str(path), matrix)

@@ -209,12 +209,11 @@ def select_frame(basis, mesh):
 def harmonic_residual(mesh, frame, K):
     """Discrete tension-field test of the normalized map phi / sqrt(w).
 
-    K is the mesh's StiffnessMatrix.
-
-    weak_residual aggregates all components in the Frobenius norm (this makes
-    the figure invariant under global rotations of the frame, which the
-    per-component maximum is not). identity_residual checks the weak form of
-    sum_i u_i (-Delta u_i) = sum_i |grad u_i|^2 in L^1.
+    K is the mesh's StiffnessMatrix. Returns the weak residual, the float
+    ||K phi - rho M phi|| / ||K phi|| over the non-degenerate vertices, with
+    rho = |grad phi|^2 per vertex and M the plain mass. It aggregates all
+    components in the Frobenius norm (this makes the figure invariant under
+    global rotations of the frame, which the per-component maximum is not).
     """
     w = frame.w
     degenerate = w <= DEGENERATE_W_REL * max(w.max(), 1.0)
@@ -230,13 +229,7 @@ def harmonic_residual(mesh, frame, K):
 
     Kphi = K @ phi
     R = Kphi - rho[:, None] * (Mplain @ phi)
-    weak = float(np.linalg.norm(R[good]) / np.linalg.norm(Kphi[good]))
-
-    # identity residual on the raw (unnormalized) frame
-    a = np.einsum("vi,vi->v", frame.U, K @ frame.U)
-    b = gradient_field(mesh, frame.U)[1] * mesh.vertex_areas
-    identity = float(np.abs(a - b).sum() / np.abs(b).sum())
-    return {"weak_residual": weak, "identity_residual": identity}
+    return float(np.linalg.norm(R[good]) / np.linalg.norm(Kphi[good]))
 
 
 def recover_density(mesh, frame):

@@ -27,6 +27,7 @@ _SLAB = 2 ** 18  # entries in one block's (sources, V) float64 distance slab: 2 
 # below the iterate is accepted, so a move of lambda this small is eigensolver
 # jitter the safeguard cannot tell from standing still
 SAFEGUARD_SLACK = 1e-12
+DAMPING = 0.5  # the first line-search trial's step; each later trial halves it
 
 
 class ProjectionError(RuntimeError):
@@ -42,10 +43,10 @@ class AscentConfig:
     unit-area surface these coincide with the absolute bounds). k_eigen sizes
     the solves at each iterate and the final solve, whose leading cluster
     feeds the frame and the certificate; line-search trials solve for the
-    first eigenpair only.
+    first eigenpair only. The line search starts at the module constant
+    DAMPING.
     """
     n_schedule: tuple = (4.0, 16.0, 64.0)
-    damping: float = 0.5
     max_iters: int = 500
     lam_tol: float = 1e-7
     floor: float = 0.0
@@ -61,8 +62,6 @@ class AscentConfig:
             raise ValueError("n_schedule entries must be finite")
         if not all(b > a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
             raise ValueError("n_schedule must be strictly increasing")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.floor not in (0.0, -0.5):
             raise ValueError("floor must be 0 or -0.5")
         if not 0.0 <= self.lam_tol < np.inf:
@@ -148,9 +147,11 @@ def ascent_step(mesh, mu_k, config, K):
     trial decreased lambda and the iterate was kept), the eigenvalue at the
     accepted density, the number of line-search trials, "applications": the
     Lanczos operator applications of the solve at mu_k and of the trials, and
-    "capped": whether any trial candidate reached the cap. The solve at mu_k
-    asks for config.k_eigen eigenpairs; each trial asks for lambda_1 alone,
-    the only value the safeguard compares.
+    "capped": whether any trial candidate reached the cap. The first trial
+    steps DAMPING of the way to the recovered density, each later one half
+    as far as the one before. The solve at mu_k asks for config.k_eigen
+    eigenpairs; each trial asks for lambda_1 alone, the only value the
+    safeguard compares.
     """
     floor, cap = mu_k.floor, mu_k.cap
     spectral = _solve(K, mesh, mu_k, config, config.k_eigen)
@@ -162,7 +163,7 @@ def ascent_step(mesh, mu_k, config, K):
     # anything looser breaks both the monotone-trace invariant and the exact
     # fixed-point behaviour at symmetric optima
     tol_abs = SAFEGUARD_SLACK * lam_k
-    t = config.damping
+    t = DAMPING
     accepted = (lam_k, mu_k, 0.0)  # kept when every trial decreases lambda
     capped = False
     applications = spectral.applications

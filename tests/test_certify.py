@@ -7,11 +7,11 @@ import pytest
 from confmax.certify import (certificate, moebius_map, save_certificate,
                              yang_yau_bound)
 from confmax.eigen import solve_pencil
-from confmax.fem import assemble_mass, assemble_stiffness, uniform_density
-from confmax.frame import select_frame
+from confmax.fem import assemble_mass, assemble_stiffness, random_density, uniform_density
+from confmax.frame import recover_density, select_frame
 from confmax.maximizer import project_density
 from confmax.mesh import gen_flat_torus
-from conftest import EQUILATERAL
+from conftest import EQUILATERAL, SQUARE
 
 
 def _sphere_inputs(mesh):
@@ -60,6 +60,25 @@ def test_certificate_flat_equilateral_torus():
     assert cert["bounds"]["yang_yau_ok"]
     target = 8 * math.pi ** 2 / math.sqrt(3)
     assert abs(cert["lambda1_area"] - target) / target < 1e-2
+
+
+@pytest.mark.parametrize("case", ["sphere3-uniform", "square12-random"])
+def test_certificate_recovery_reads_the_recovered_density(sphere3, case):
+    # the certificate divides its own gradient field; recover_density, which
+    # the ascent reads, must give bitwise the same nu
+    if case == "sphere3-uniform":
+        mesh, mu0 = sphere3, uniform_density(sphere3)
+    else:
+        mesh = gen_flat_torus(SQUARE, 12, 12)
+        mu0 = random_density(mesh, 1)
+    mu = project_density(mesh, mu0.values, 0.0, 4.0 / mesh.area)
+    K = assemble_stiffness(mesh)
+    spectral = solve_pencil(K, assemble_mass(mesh, mu), k=8)
+    frame = select_frame(spectral.cluster_basis(0), mesh)
+    cert = certificate(mesh, mu, spectral, frame, K)
+    nu = recover_density(mesh, frame)
+    assert cert["density_recovery_L1"] == float(
+        mesh.vertex_areas @ np.abs(nu.values - mu.values))
 
 
 def test_certificate_rejects_mismatched_mesh(sphere3, sphere2):

@@ -234,9 +234,9 @@ def test_bad_config_key_or_value_exits_2(tmp_path, capsys, command, line, messag
 
 
 def test_config_key_of_another_subcommand_is_ignored(tmp_path):
-    # one file serves spectrum and maximize: spectrum leaves damping alone
+    # one file serves spectrum and maximize: spectrum leaves tol alone
     cfgf = tmp_path / "run.cfg"
-    cfgf.write_text("gen = icosphere:1\ndamping = 0.25\n")
+    cfgf.write_text("gen = icosphere:1\ntol = 1e-5\n")
     assert main(["--config", str(cfgf), "spectrum", "--out", str(tmp_path / "o")]) == 0
 
 
@@ -252,7 +252,8 @@ def test_ascent_defaults_come_from_ascent_config():
 
 
 @pytest.mark.parametrize("argv", [["bench", "--dump-matrices"],
-                                  ["spectrum", "--gen", "icosphere:2", "--quick"]])
+                                  ["spectrum", "--gen", "icosphere:2", "--quick"],
+                                  ["maximize", "--gen", "icosphere:1", "--damping", "0.5"]])
 def test_flag_not_read_by_subcommand_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky_banded
 
 from confmax.eigen import solve_pencil
 from confmax.fem import (DensityError, DensityField, assemble_mass, assemble_stiffness,
-                         gradient_field, random_density, uniform_density)
+                         gradient_field, random_density, uniform_density, upper_band)
 from confmax.mesh import TriangleMesh, gen_flat_torus, gen_icosphere
-from conftest import SQUARE, polar_cap, vanishing_density
+from conftest import EQUILATERAL, SQUARE, polar_cap, vanishing_density
 from test_mesh import regular_tetrahedron
 
 
@@ -180,6 +181,19 @@ def test_grounded_gather_is_fancy_indexing(sphere3, density):
         assert np.array_equal(getattr(planned, name), getattr(ref, name)), name
     if density == "floor-with-zeros":
         assert (ref.data == 0.0).any() and (ref.data < 0.0).any()
+
+
+@pytest.mark.parametrize("mesh", ["sphere2", "sphere3", "sphere4", "square_torus16",
+                                  "equilateral-24x12"])
+def test_grounded_factor_is_the_factor_of_the_gathered_stiffness(request, mesh):
+    # the reference is the grounding by fancy indexing that the gather replaced
+    mesh = (gen_flat_torus(EQUILATERAL, 24, 12) if mesh == "equilateral-24x12"
+            else request.getfixturevalue(mesh))
+    K = assemble_stiffness(mesh)
+    order, band = K.grounded_factor
+    ref = cholesky_banded(upper_band(K.matrix[order][:, order]))
+    assert band.shape == ref.shape
+    assert np.array_equal(band, ref)
 
 
 def _dense_element_sums(mesh, mu):
