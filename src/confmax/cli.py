@@ -111,7 +111,7 @@ def _dump_matrices(out, K, M):
 def cmd_spectrum(args):
     mesh, config, init = _inputs(args)
     floor = config.floor / mesh.area
-    cap = config.n_schedule[-1] / mesh.area
+    cap = AscentConfig.n_schedule[-1] / mesh.area  # the default schedule's last stage
     mu = make_initial_density(mesh, init, floor, cap, seed=config.seed)
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh, mu)
@@ -194,10 +194,10 @@ def build_parser(config=None):
         sp.add_argument("--gen")
         sp.add_argument("--density", default="uniform")
         sp.add_argument("--floor", type=float, choices=(0.0, -0.5))
-        sp.add_argument("--n-schedule", type=n_schedule)
         sp.add_argument("-k", type=int)
         sp.add_argument("--dump-matrices", action="store_true")
         sp.add_argument("--seed", type=int)
+    maximize.add_argument("--n-schedule", type=n_schedule)
     maximize.add_argument("--tol", type=float)
     maximize.add_argument("--max-iters", type=int)
     bench.add_argument("--seed", type=int, default=AscentConfig.seed)

@@ -129,62 +129,63 @@ class TriangleMesh:
 
         rows = np.asarray(edge_lengths, dtype=float).reshape(-1, 3)
         lo, hi = np.sort(rows[:, :2].astype(np.int64), axis=1).T
-        key = lo * V + hi
-        stray = (lo < 0) | (hi >= V) | ~np.isin(key, edge_key)
+        key, given = lo * V + hi, rows[:, 2]
+        edge = np.searchsorted(edge_key, key)  # each row's edge id, if its key is there
+        stray = (lo < 0) | (hi >= V) | (np.append(edge_key, -1)[edge] != key)
         if np.any(stray):
             g = int(np.argmax(stray))
             raise MeshError(f"length given for ({lo[g]},{hi[g]}), not an edge of any triangle")
-        # sorted by (edge, length): each edge keeps its first length, and any
-        # other length given for it must agree with that one
-        order = np.lexsort((rows[:, 2], key))
-        key, given = key[order], rows[order, 2]
         finite = np.isfinite(given)
         if not finite.all():
-            i, j = divmod(key[int(np.argmin(finite))], V)
+            i, j = divmod(key[~finite].min(), V)
             raise MeshError(f"non-finite length on edge ({i},{j})")
-        first = np.diff(key, prepend=-1) != 0
-        kept = given[first][np.cumsum(first) - 1]
-        close = np.abs(given - kept) <= 1e-12 * np.maximum(np.abs(given), np.abs(kept))
-        bad = np.where(first, given <= 0, ~close)
+        # each edge keeps its least length, and any other length given for it
+        # must agree with that one; an edge no row names keeps inf
+        kept = np.full(len(edge_key), np.inf)
+        np.minimum.at(kept, edge, given)
+        close = np.abs(given - kept[edge]) <= 1e-12 * np.maximum(np.abs(given), np.abs(kept[edge]))
+        bad = (kept <= 0) | (np.bincount(edge[~close], minlength=len(kept)) > 0)
         if np.any(bad):
-            g = int(np.argmax(bad))
-            i, j = divmod(key[g], V)
-            if first[g]:
+            e = int(np.argmax(bad))
+            i, j = self.edges[e]
+            if kept[e] <= 0:
                 raise MeshError(f"non-positive length on edge ({i},{j})")
             raise MeshError(f"conflicting lengths for edge ({i},{j})")
-        missing = ~np.isin(edge_key, key)[self.triangle_edges]
+        missing = np.isinf(kept)[self.triangle_edges]
         if np.any(missing):
             t, c = divmod(int(np.argmax(missing)), 3)
             a, b = np.delete(tris[t], c)
             raise MeshError(f"missing edge length for edge ({a},{b}) of triangle {t}")
-        self.edge_lengths = given[first]
+        self.edge_lengths = kept
         self.triangle_edge_lengths = self.edge_lengths[self.triangle_edges]
 
     def _validate_manifold(self):
         tris, V = self.triangles, self.vertex_count
         tail, head = _corner_pairs(tris)
-        directed, first, seen = np.unique(tail * V + head, return_index=True,
-                                          return_inverse=True)
-        repeat = first[seen] != np.arange(len(tail))
-        if np.any(repeat):
-            h = int(np.argmax(repeat))
-            raise MeshError(
-                f"orientation conflict on edge ({tail[h]},{head[h]}) between triangles "
-                f"{first[seen[h]] // 3} and {h // 3}")
-        # a third triangle at an edge would repeat one of its directed pairs, so
-        # past the orientation check an edge lies in two triangles, or in one
         pair_edge = self.triangle_edges[:, [2, 0, 1]].ravel()  # edge of each corner pair
-        open_pair = (np.bincount(pair_edge) == 1)[pair_edge]
-        if np.any(open_pair):
-            h = int(np.argmax(open_pair))
+        incident = np.bincount(pair_edge)  # triangles at each edge
+        odd = (incident != 2)[pair_edge]
+        if np.any(odd):
+            h = int(np.argmax(odd))
             a, b = self.edges[pair_edge[h]]
-            raise MeshError(f"open boundary at edge ({a},{b}) (triangle {h // 3})")
+            if incident[pair_edge[h]] == 1:
+                raise MeshError(f"open boundary at edge ({a},{b}) (triangle {h // 3})")
+            raise MeshError(f"edge ({a},{b}) lies in {incident[pair_edge[h]]} triangles")
+        # each edge's two pairs, the earlier first, run opposite ways on an oriented surface
+        earlier, later = np.argsort(pair_edge, kind="stable").reshape(-1, 2).T
+        clash = tail[earlier] == tail[later]
+        if np.any(clash):
+            e = int(np.argmin(np.where(clash, later, len(tail))))
+            h = later[e]
+            raise MeshError(f"orientation conflict on edge ({tail[h]},{head[h]}) between "
+                            f"triangles {earlier[e] // 3} and {h // 3}")
         # vertex links must be single cycles, and the mesh one part. One search
         # covers two disjoint graphs: the corners, corner h (at tail[h]) joined
         # to the corner at the same vertex in the triangle across pair h, whose
         # components are the link cycles; and the vertices joined along edges,
         # whose components are the parts.
-        twin = first[np.searchsorted(directed, head * V + tail)]
+        twin = np.empty_like(pair_edge)
+        twin[earlier], twin[later] = later, earlier
         across = twin - twin % 3 + (twin + 1) % 3
         n = len(tail)
         count, label = connected_components(coo_matrix(
@@ -215,9 +216,8 @@ class TriangleMesh:
         num = np.stack([a2[:, 1] + a2[:, 2] - a2[:, 0], a2[:, 0] + a2[:, 2] - a2[:, 1],
                         a2[:, 0] + a2[:, 1] - a2[:, 2]], axis=1)
         self.cotangents = num / (4.0 * self.areas[:, None])
-        va = np.zeros(self.vertex_count)
-        np.add.at(va, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
-        self.vertex_areas = va
+        self.vertex_areas = np.bincount(self.triangles.ravel(), np.repeat(self.areas / 3.0, 3),
+                                        minlength=self.vertex_count)
         self.area = float(self.areas.sum())
 
 

@@ -259,6 +259,8 @@ def _rejection_case(case):
         V, tris, lengths = _two_icosahedra(glue=True)
     elif case == "euler-characteristic":
         V, tris, lengths = _two_icosahedra(glue=False)
+    elif case == "three-triangle-edge":
+        tris = np.vstack([tris, tris[:1]])
     elif case == "disconnected":
         data = disjoint_sphere_and_torus()
         V, tris, lengths = data["vertices"], np.array(data["triangles"]), data["edge_lengths"]
@@ -279,12 +281,75 @@ def _rejection_case(case):
     ("pinched-vertex", "vertex 0 link is not a single cycle"),
     ("euler-characteristic", "Euler characteristic 4 is not 2-2g for integer g >= 0"),
     ("disconnected", "mesh has 2 connected components, not one"),
+    ("three-triangle-edge", "edge (0,11) lies in 3 triangles"),
 ])
 def test_rejections_name_the_fault(case, message):
     V, tris, lengths = _rejection_case(case)
     with pytest.raises(MeshError) as exc:
         TriangleMesh(V, tris, lengths)
     assert str(exc.value) == message
+
+
+def test_length_on_a_mesh_without_triangles_is_stray():
+    with pytest.raises(MeshError) as exc:
+        TriangleMesh(3, np.empty((0, 3), dtype=int), [[0, 1, 1.0]])
+    assert str(exc.value) == "length given for (0,1), not an edge of any triangle"
+
+
+def _sorted_first_lengths(vertex_count, rows):
+    """Reference: rows sorted by (edge key, length), each key's first length."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, 3)
+    lo, hi = np.sort(rows[:, :2].astype(np.int64), axis=1).T
+    key = lo * vertex_count + hi
+    order = np.lexsort((rows[:, 2], key))
+    return rows[order, 2][np.diff(key[order], prepend=-1) != 0]
+
+
+def _load_donut(path):
+    path.write_text(_donut_obj())
+    return load_mesh(path)
+
+
+def _doubled_rows_json(path, perturbed_first):
+    """Icosphere 1 as intrinsic JSON, each edge given twice: once reversed at l(1 + 5e-13)."""
+    m = gen_icosphere(1)
+    rows = []
+    for (i, j), l in zip(m.edges.tolist(), m.edge_lengths.tolist()):
+        pair = [[i, j, l], [j, i, l * (1 + 5e-13)]]
+        rows += pair[::-1] if perturbed_first else pair
+    path.write_text(json.dumps({"vertices": m.vertex_count, "triangles": m.triangles.tolist(),
+                                "edge_lengths": rows}))
+    return load_mesh(path)
+
+
+_LENGTH_CASES = {
+    **{f"icosphere-{s}": lambda tmp, s=s: gen_icosphere(s) for s in range(5)},
+    **{f"{name}-{n}": lambda tmp, basis=basis, n=n: gen_flat_torus(basis, n)
+       for name, basis in (("square", SQUARE), ("equilateral", EQUILATERAL)) for n in (8, 16)},
+    "equilateral-8x12": lambda tmp: gen_flat_torus(EQUILATERAL, 8, 12),
+    "obj-donut": lambda tmp: _load_donut(tmp / "donut.obj"),
+    "json-doubled": lambda tmp: _doubled_rows_json(tmp / "a.json", perturbed_first=False),
+    "json-doubled-perturbed-first":
+        lambda tmp: _doubled_rows_json(tmp / "b.json", perturbed_first=True),
+}
+
+
+@pytest.mark.parametrize("case", list(_LENGTH_CASES))
+def test_edge_lengths_are_the_least_given(monkeypatch, tmp_path, case):
+    # each edge keeps the first of its rows sorted by length: the least one
+    given = []
+    init = TriangleMesh.__init__
+
+    def record(self, vertex_count, triangles, edge_lengths):
+        given.append(edge_lengths)
+        init(self, vertex_count, triangles, edge_lengths)
+
+    monkeypatch.setattr(TriangleMesh, "__init__", record)
+    m = _LENGTH_CASES[case](tmp_path)
+    want = _sorted_first_lengths(m.vertex_count, given[-1])
+    assert want.tobytes() == m.edge_lengths.tobytes()
+    if case.startswith("json"):
+        assert np.array_equal(m.edge_lengths, gen_icosphere(1).edge_lengths)
 
 
 @pytest.mark.parametrize("fixture", ["sphere2", "eq_torus16"])
