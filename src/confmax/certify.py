@@ -26,10 +26,10 @@ def yang_yau_bound(genus):
     return SURFACES["icosphere"].lambda1_area * ((genus + 3) // 2)
 
 
-def certificate(mesh, mu, spectral, frame, K):
-    """Full diagnostic record for one (mesh, density, frame) triple.
+def certificate(mu, spectral, frame, K):
+    """Full diagnostic record for one (density, spectrum, frame) triple.
 
-    K is the mesh's StiffnessMatrix, for the harmonic-map residual.
+    K is the StiffnessMatrix of the density's mesh, for the harmonic-map residual.
 
     One sum_i |grad u_i|^2 evaluation serves the density recovery (nu is
     bitwise recover_density's), the singular vertices and identity_residual,
@@ -40,7 +40,8 @@ def certificate(mesh, mu, spectral, frame, K):
     (0.05) is a fraction. The search runs afresh on each call, in memory
     linear in V, and stores nothing on the mesh.
     """
-    if mu.mesh is not mesh or frame.U.shape[0] != mesh.vertex_count:
+    mesh = mu.mesh
+    if frame.U.shape[0] != mesh.vertex_count:
         raise ValueError("inconsistent mesh references across inputs")
     lam_area = spectral.lambda1
 
@@ -70,9 +71,9 @@ def certificate(mesh, mu, spectral, frame, K):
         "density_recovery_L1": recovery_l1,
         "harmonic_weak_residual": harmonic_residual(mesh, frame, K),
         "identity_residual": identity,
-        "neg_set_measure": negative_measure(mesh, mu),
+        "neg_set_measure": negative_measure(mu),
         "sat_set_measure_times_N": (
-            saturated_measure(mesh, mu) * mu.cap if mu.cap is not None else 0.0),
+            saturated_measure(mu) * mu.cap if mu.cap is not None else 0.0),
         "singular_vertices": singular_vertices,
         "bounds": {
             "genus": int(mesh.genus),
@@ -80,7 +81,7 @@ def certificate(mesh, mu, spectral, frame, K):
             "yang_yau_ok": bool(lam_area <= bound * (1.0 + _TOL_MESH)),
             "hersch_floor_ok": bool(lam_area >= yang_yau_bound(0) * (1.0 - _TOL_MESH)),
         },
-        "collapse": detect_collapse(mu, mesh),
+        "collapse": detect_collapse(mu),
     }
     return cert
 

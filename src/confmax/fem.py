@@ -52,7 +52,14 @@ class DensityField:
 
 
 def _vertex_values(mesh, values):
-    """values as a contiguous float array, a DensityError unless one finite value per vertex."""
+    """values as a contiguous float array, a DensityError unless one finite value per vertex.
+
+    A DensityField gives its values only on this mesh object; another mesh's is refused.
+    """
+    if isinstance(values, DensityField):
+        if values.mesh is not mesh:
+            raise DensityError("density lives on another mesh")
+        values = values.values
     vals = np.ascontiguousarray(values, dtype=float)
     if vals.shape != (mesh.vertex_count,) or not np.all(np.isfinite(vals)):
         raise DensityError(f"density must hold {mesh.vertex_count} finite values, one per vertex")
@@ -185,14 +192,14 @@ def assemble_stiffness(mesh):
 
 
 def assemble_mass(mesh, density):
-    """Mass matrix for the P1 density (DensityField or raw per-vertex array).
+    """Mass matrix for the P1 density (a DensityField of this mesh or a raw array).
 
     Integrates hat x hat x (P1 density) exactly per triangle. A raw array need
     not have unit mass, but must be (V,) and finite. Only a density with a
     negative value can make M indefinite; solve_pencil tests the sign of such
     an M with one banded Cholesky factorization.
     """
-    mu = density.values if isinstance(density, DensityField) else _vertex_values(mesh, density)
+    mu = _vertex_values(mesh, density)
     corner = mu[mesh.triangles] * (mesh.areas / 60.0)[:, None]
     return MassMatrix(_assemble(mesh, corner @ _MASS_BASIS), bool(mu.min() >= 0.0))
 

@@ -130,31 +130,31 @@ def project_density(mesh, values, floor, cap):
     return DensityField(mesh, np.clip(values + c, floor, cap), floor, cap)
 
 
-def _solve(K, mesh, density, config, k):
+def _solve(K, density, config, k):
     # k = config.k_eigen where the leading cluster is used (frame, certificate):
     # ARPACK resolves a degenerate lambda_1 cluster far better when the requested
     # block spans it. A line-search trial reads lambda_1 alone, so it asks for
     # k = 1 and stays clear of the slowly converging higher clusters.
-    return solve_pencil(K, assemble_mass(mesh, density), k=k,
+    return solve_pencil(K, assemble_mass(density.mesh, density), k=k,
                         rel_gap=config.rel_gap, seed=config.seed)
 
 
-def ascent_step(mesh, mu_k, config, K):
+def ascent_step(mu_k, config, K):
     """One damped fixed-point step with the eigenvalue-ascent safeguard.
 
-    K is the run's StiffnessMatrix. Returns (mu_next, spectral_at_mu_k,
-    frame_at_mu_k, info). info records the accepted step size (0.0 when every
-    trial decreased lambda and the iterate was kept), the eigenvalue at the
-    accepted density, the number of line-search trials, "applications": the
-    Lanczos operator applications of the solve at mu_k and of the trials, and
-    "capped": whether any trial candidate reached the cap. The first trial
-    steps DAMPING of the way to the recovered density, each later one half
-    as far as the one before. The solve at mu_k asks for config.k_eigen
-    eigenpairs; each trial asks for lambda_1 alone, the only value the
-    safeguard compares.
+    The step runs on the density's mesh, whose StiffnessMatrix is K. Returns
+    (mu_next, spectral_at_mu_k, frame_at_mu_k, info). info records the
+    accepted step size (0.0 when every trial decreased lambda and the iterate
+    was kept), the eigenvalue at the accepted density, the number of
+    line-search trials, "applications": the Lanczos operator applications of
+    the solve at mu_k and of the trials, and "capped": whether any trial
+    candidate reached the cap. The first trial steps DAMPING of the way to
+    the recovered density, each later one half as far as the one before. The
+    solve at mu_k asks for config.k_eigen eigenpairs; each trial asks for
+    lambda_1 alone, the only value the safeguard compares.
     """
-    floor, cap = mu_k.floor, mu_k.cap
-    spectral = _solve(K, mesh, mu_k, config, config.k_eigen)
+    mesh, floor, cap = mu_k.mesh, mu_k.floor, mu_k.cap
+    spectral = _solve(K, mu_k, config, config.k_eigen)
     frame = select_frame(spectral.cluster_basis(0), mesh)
     lam_k = spectral.lambda1
     nu = recover_density(mesh, frame)
@@ -171,7 +171,7 @@ def ascent_step(mesh, mu_k, config, K):
         cand = project_density(mesh, (1.0 - t) * mu_k.values + t * nu.values,
                                floor, cap)
         capped = capped or bool(cand.values.max() >= cap)
-        trial = _solve(K, mesh, cand, config, 1)
+        trial = _solve(K, cand, config, 1)
         applications += trial.applications
         lam_c = trial.lambda1
         if lam_c >= lam_k - tol_abs:
@@ -191,29 +191,31 @@ def _at_cap(mu):
     return mu.values >= mu.cap * (1.0 - 1e-6)
 
 
-def saturated_measure(mesh, mu):
-    """Area of the set where the density sits at its cap."""
-    return float(mesh.vertex_areas[_at_cap(mu)].sum())
+def saturated_measure(mu):
+    """Area, on the density's mesh, of the set where the density sits at its cap."""
+    return float(mu.mesh.vertex_areas[_at_cap(mu)].sum())
 
 
-def negative_measure(mesh, mu):
-    """Area of E_- : density at or below zero (strictly below in floor-0 mode)."""
+def negative_measure(mu):
+    """Area, on the density's mesh, of E_-: density at or below zero (below it at floor 0)."""
     if mu.floor is not None and mu.floor < 0:
         mask = mu.values <= 0.0
     else:
         mask = mu.values < 0.0
-    return float(mesh.vertex_areas[mask].sum())
+    return float(mu.mesh.vertex_areas[mask].sum())
 
 
-def detect_collapse(mu, mesh):
+def detect_collapse(mu):
     """Mass of the heaviest intrinsic ball of radius COLLAPSE_RADIUS * diam(M).
 
-    diam(M) is the double-sweep edge-path diameter (the eccentricity of the
-    vertex farthest from vertex 0), a lower bound on the all-pairs maximum.
-    The balls come from Dijkstra from every vertex truncated at the radius, in
-    blocks of sources whose distances fill one slab of _SLAB entries. Nothing
-    is kept between calls, so memory is O(V + _SLAB).
+    M is the density's mesh, and diam(M) its double-sweep edge-path diameter
+    (the eccentricity of the vertex farthest from vertex 0), a lower bound on
+    the all-pairs maximum. The balls come from Dijkstra from every vertex
+    truncated at the radius, in blocks of sources whose distances fill one
+    slab of _SLAB entries. Nothing is kept between calls, so memory is
+    O(V + _SLAB).
     """
+    mesh = mu.mesh
     v = mesh.vertex_count
     g = csr_matrix((mesh.edge_lengths, mesh.edges.T), shape=(v, v))  # i < j
     g = (g + g.T).tocsr()  # both directions once: a directed search is cheaper per call
@@ -232,14 +234,12 @@ def detect_collapse(mu, mesh):
 
 
 def make_initial_density(mesh, init, floor, cap, seed=0):
-    """Resolve 'uniform' | 'random[:seed]' | DensityField | array into the S_N box."""
-    if isinstance(init, DensityField):
-        vals = init.values
-    elif isinstance(init, str):
+    """Resolve 'uniform' | 'random[:seed]' | this mesh's DensityField | array into the S_N box."""
+    if isinstance(init, str):
         if init == "uniform":
-            vals = uniform_density(mesh).values
+            vals = uniform_density(mesh)
         elif m := RANDOM_SPEC.fullmatch(init):
-            vals = random_density(mesh, seed if m[1] is None else int(m[1])).values
+            vals = random_density(mesh, seed if m[1] is None else int(m[1]))
         else:
             raise ValueError(f"unknown density init {init!r}")
     else:
@@ -284,13 +284,13 @@ def maximize(mesh, mu0, config=AscentConfig()):
         converged = settled
         for _ in range(0 if settled else config.max_iters):
             t0 = time.perf_counter()
-            mu_next, spectral, frame, info = ascent_step(mesh, mu, config, K)
+            mu_next, spectral, frame, info = ascent_step(mu, config, K)
             wall = (time.perf_counter() - t0) * 1e3
             trace.rows.append(TraceRow(
                 iter=len(trace.rows), N=n_rel,
                 lambda1_area=info["lambda_next"],
-                EN_measure=saturated_measure(mesh, mu_next),
-                ENeg_measure=negative_measure(mesh, mu_next),
+                EN_measure=saturated_measure(mu_next),
+                ENeg_measure=negative_measure(mu_next),
                 step=info["step"], frame_obj=frame.objective,
                 frame_steps=frame.iterations, frame_stop=frame.stop_reason,
                 trials=info["trials"], applications=info["applications"],
@@ -305,13 +305,13 @@ def maximize(mesh, mu0, config=AscentConfig()):
         if not converged:
             trace.status = "iteration-cap"
         trace.saturation_constant = max(trace.saturation_constant,
-                                        saturated_measure(mesh, mu) * cap)
+                                        saturated_measure(mu) * cap)
 
-    spectral = _solve(K, mesh, mu, config, config.k_eigen)
+    spectral = _solve(K, mu, config, config.k_eigen)
     frame = select_frame(spectral.cluster_basis(0), mesh)
-    if detect_collapse(mu, mesh)["flag"]:
+    if detect_collapse(mu)["flag"]:
         trace.status = "collapse"
-    trace.certificate = certificate(mesh, mu, spectral, frame, K)
+    trace.certificate = certificate(mu, spectral, frame, K)
     return mu, spectral, frame, trace
 
 

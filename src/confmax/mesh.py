@@ -297,9 +297,9 @@ def gen_flat_torus(basis, nx, ny=None):
     c00, c10 = i * ny + j, (i + 1) % nx * ny + j
     c01, c11 = i * ny + (j + 1) % ny, (i + 1) % nx * ny + (j + 1) % ny
     tris = np.stack([c00, c10, c11, c00, c11, c01], axis=1).reshape(-1, 3)
-    tail, head = _corner_pairs(tris)
-    lengths = np.tile([lx, ly, ld, ld, lx, ly], nx * ny)
-    return TriangleMesh(nx * ny, tris, np.column_stack([tail, head, lengths]))
+    ends = np.stack([c00, c10, c00, c01, c00, c11], axis=1).reshape(-1, 2)
+    lengths = np.tile([lx, ly, ld], nx * ny)  # the cell's edges from c00: each edge once
+    return TriangleMesh(nx * ny, tris, np.column_stack([ends, lengths]))
 
 
 # -- the surface table: the one place a generator spec is defined ---------------

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from confmax.bench import _clusters_check, monotonicity_check
+from confmax.bench import _clusters_check, bounds_check, monotonicity_check
 from confmax.mesh import SURFACES
 
 
@@ -32,3 +32,19 @@ def test_monotonicity_check_reports_the_rows_it_compared():
     assert three.detail == "3 rows, min step 1.00e-01"
     # the tolerance is unchanged: a drop past 10 lam_tol fails
     assert not monotonicity_check(_trace(25.0, 25.0 * (1.0 - 2e-6)), "sphere").passed
+
+
+def _run(status, lam, yang_yau_ok, hersch_floor_ok):
+    bounds = {"yang_yau_ok": yang_yau_ok, "hersch_floor_ok": hersch_floor_ok}
+    return SimpleNamespace(status=status,
+                           certificate={"bounds": bounds, "lambda1_area": lam})
+
+
+def test_bounds_check_names_each_violation():
+    runs = [("sphere over", _run("collapse", 36.946, False, True)),
+            ("torus under", _run("converged", 20.0, True, False))]
+    res = bounds_check(runs)
+    assert not res.passed
+    assert res.value == 2  # the runs checked
+    assert res.detail == ("sphere over: 36.946 over the Yang-Yau bound; "
+                          "torus under: 20.000 < Hersch floor")

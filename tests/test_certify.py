@@ -32,7 +32,7 @@ def test_yang_yau_values():
 
 def test_certificate_round_sphere(sphere4):
     mu, spectral, frame = _sphere_inputs(sphere4)
-    cert = certificate(sphere4, mu, spectral, frame, assemble_stiffness(sphere4))
+    cert = certificate(mu, spectral, frame, assemble_stiffness(sphere4))
     assert cert["schema"] == "confspec-cert-1"
     assert abs(cert["lambda1_area"] - 8 * math.pi) / (8 * math.pi) < 1e-2
     assert cert["sphere_residual"] < 5e-2
@@ -54,7 +54,7 @@ def test_certificate_flat_equilateral_torus():
     mu = project_density(mesh, uniform_density(mesh).values, 0.0, cap)
     spectral = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh, mu), k=8)
     frame = select_frame(spectral.cluster_basis(0), mesh)
-    cert = certificate(mesh, mu, spectral, frame, assemble_stiffness(mesh))
+    cert = certificate(mu, spectral, frame, assemble_stiffness(mesh))
     assert cert["bounds"]["genus"] == 1
     assert cert["bounds"]["bound_value"] == pytest.approx(16 * math.pi)
     assert cert["bounds"]["yang_yau_ok"]
@@ -75,21 +75,21 @@ def test_certificate_recovery_reads_the_recovered_density(sphere3, case):
     K = assemble_stiffness(mesh)
     spectral = solve_pencil(K, assemble_mass(mesh, mu), k=8)
     frame = select_frame(spectral.cluster_basis(0), mesh)
-    cert = certificate(mesh, mu, spectral, frame, K)
+    cert = certificate(mu, spectral, frame, K)
     nu = recover_density(mesh, frame)
     assert cert["density_recovery_L1"] == float(
         mesh.vertex_areas @ np.abs(nu.values - mu.values))
 
 
 def test_certificate_rejects_mismatched_mesh(sphere3, sphere2):
-    mu, spectral, frame = _sphere_inputs(sphere3)
+    _, spectral, frame = _sphere_inputs(sphere3)
     with pytest.raises(ValueError):
-        certificate(sphere2, mu, spectral, frame, assemble_stiffness(sphere2))
+        certificate(uniform_density(sphere2), spectral, frame, assemble_stiffness(sphere3))
 
 
 def test_save_certificate_roundtrip(sphere3, tmp_path):
     mu, spectral, frame = _sphere_inputs(sphere3)
-    cert = certificate(sphere3, mu, spectral, frame, assemble_stiffness(sphere3))
+    cert = certificate(mu, spectral, frame, assemble_stiffness(sphere3))
     p = tmp_path / "cert.json"
     save_certificate(cert, p)
     loaded = json.loads(p.read_text())

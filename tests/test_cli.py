@@ -38,10 +38,13 @@ def test_spectrum_flat_torus_rect(tmp_path):
     assert summary["genus"] == 1
 
 
-def test_spectrum_dump_matrices(tmp_path):
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+@pytest.mark.parametrize("command", [["spectrum"],
+                                     ["maximize", "--n-schedule", "4", "--max-iters", "2"]],
+                         ids=["spectrum", "maximize"])
+def test_spectrum_dump_matrices(tmp_path, command):
     out = tmp_path / "run"
-    rc = main(["spectrum", "--gen", "icosphere:2", "--out", str(out),
-               "--dump-matrices"])
+    rc = main([*command, "--gen", "icosphere:2", "--out", str(out), "--dump-matrices"])
     assert rc == 0
     K, M = (mmread(out / name).tocsr() for name in ("stiffness.mtx", "mass.mtx"))
     for A in (K, M):
@@ -49,7 +52,8 @@ def test_spectrum_dump_matrices(tmp_path):
     assert np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)
     assert (K != K.T).nnz == 0
     assert np.abs(K.sum(axis=1)).max() < 1e-12
-    # the uniform start density carries unit mass: 1^T M 1 = int mu dA = 1
+    # the uniform start density and the maximizer's density carry unit mass:
+    # 1^T M 1 = int mu dA = 1
     assert abs(M.sum() - 1.0) < 1e-12
 
 
@@ -270,28 +274,49 @@ _BAD_DENSITIES = {  # icosphere:2 has 162 vertices
 }
 
 
-# a size field is plain decimal digits, and a lattice is one of the table's
+_BAD_FILES = {  # case: (mesh file name, its text or None for no file, the message)
+    "off-face-out-of-range": ("bad.off", "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 1 3 9\n",
+                              "triangle vertex index out of range"),
+    "off-no-header": ("mesh.off", "3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "missing OFF header"),
+    "obj-vertex-not-a-number": ("mesh.obj", "v 0 x 0\n", ":1: bad vertex line"),
+    "obj-quad": ("mesh.obj", "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n",
+                 "face has 4 vertices; triangles only"),
+    "obj-face-not-an-integer": ("mesh.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n",
+                                "bad face line"),
+    "obj-no-geometry": ("mesh.obj", "# nothing here\n", "no geometry found"),
+    "json-malformed": ("mesh.json", '{"vertices": 3,', "JSON parse failure"),
+    "json-no-lengths": ("mesh.json", '{"vertices": 3, "triangles": [[0, 1, 2]]}',
+                        "missing field 'edge_lengths'"),
+    "ply-suffix": ("mesh.ply", "ply\n", "cannot infer format from suffix"),
+    "missing-file": ("absent.off", None, "no such file"),
+}
+
+# a size field is plain decimal digits, a lattice is one of the table's, and
+# each row takes its own number of size fields
 _BAD_SPECS = ["icosphere:+2", "icosphere: 2", "icosphere:x", "flat-torus:square:24:",
-              "flat-torus:hex:8"]
+              "flat-torus:hex:8", "icosphere:2:3", "flat-torus:square:8:8:8"]
 
 
 @pytest.mark.parametrize("case", ["icosphere", "flat-torus:square", *_BAD_DENSITIES,
-                                  "off-face-out-of-range", *_BAD_SPECS])
+                                  *_BAD_FILES, *_BAD_SPECS])
 def test_malformed_input_exits_with_input_error(tmp_path, capsys, case):
     argv = ["spectrum", "--out", str(tmp_path / "o")]
     if case in _BAD_DENSITIES:
         dens = tmp_path / "dens.json"
         dens.write_text(json.dumps(_BAD_DENSITIES[case]))
         argv += ["--gen", "icosphere:2", "--density", str(dens)]
-    elif case == "off-face-out-of-range":
-        off = tmp_path / "bad.off"
-        off.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 1 3 9\n")
-        argv += ["--mesh", str(off)]
+    elif case in _BAD_FILES:
+        name, text, _ = _BAD_FILES[case]
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        argv += ["--mesh", str(tmp_path / name)]
     else:
         argv += ["--gen", case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    if case in _BAD_FILES:
+        assert _BAD_FILES[case][2] in err
     if case in _BAD_SPECS:  # the message quotes the spec and lists the grammar
         assert repr(case) in err and all(row.grammar in err for row in SURFACES.values())
 

@@ -12,7 +12,8 @@ import confmax.fem
 import confmax.frame
 import confmax.maximizer
 from confmax.bench import saturation_check
-from confmax.fem import DensityField, assemble_stiffness, random_density, uniform_density
+from confmax.fem import (DensityError, DensityField, assemble_mass, assemble_stiffness,
+                         random_density, uniform_density)
 from confmax.frame import recover_density
 from confmax.maximizer import (AscentConfig, ProjectionError, ascent_step,
                                detect_collapse, make_initial_density, maximize,
@@ -107,7 +108,7 @@ def test_uniform_sphere_is_fixed_point(sphere3):
     cfg = AscentConfig()
     cap = cfg.n_schedule[0] / sphere3.area
     mu = project_density(sphere3, uniform_density(sphere3).values, 0.0, cap)
-    mu_next, _, _, info = ascent_step(sphere3, mu, cfg, assemble_stiffness(sphere3))
+    mu_next, _, _, info = ascent_step(mu, cfg, assemble_stiffness(sphere3))
     move = sphere3.vertex_areas @ np.abs(mu_next.values - mu.values)
     assert move < 1e-6
 
@@ -117,17 +118,17 @@ def test_ascent_step_reports_capped_trials(sphere3):
     loose = project_density(sphere3, uniform_density(sphere3).values, 0.0,
                             4.0 / sphere3.area)
     K = assemble_stiffness(sphere3)
-    assert not ascent_step(sphere3, loose, AscentConfig(), K)[3]["capped"]
+    assert not ascent_step(loose, AscentConfig(), K)[3]["capped"]
     tight = project_density(sphere3, tilted_density(sphere3, 43000).values, 0.0,
                             1.1 / sphere3.area)
-    assert ascent_step(sphere3, tight, AscentConfig(seed=43000), K)[3]["capped"]
+    assert ascent_step(tight, AscentConfig(seed=43000), K)[3]["capped"]
 
 
 def test_ascent_step_monotone(sphere3):
     cfg = AscentConfig(seed=1)
     cap = 4.0 / sphere3.area
     mu = project_density(sphere3, random_density(sphere3, 7).values, 0.0, cap)
-    _, spectral, _, info = ascent_step(sphere3, mu, cfg, assemble_stiffness(sphere3))
+    _, spectral, _, info = ascent_step(mu, cfg, assemble_stiffness(sphere3))
     assert info["lambda_next"] >= spectral.lambda1 * (1.0 - 1e-12)
 
 
@@ -139,7 +140,7 @@ def test_vanishing_region_is_not_absorbing(sphere3):
     mu = project_density(sphere3, vanishing_density(sphere3, cap), 0.0,
                          AscentConfig().n_schedule[0] / sphere3.area)
     assert cap.size == 61
-    _, _, frame, _ = ascent_step(sphere3, mu, AscentConfig(), assemble_stiffness(sphere3))
+    _, _, frame, _ = ascent_step(mu, AscentConfig(), assemble_stiffness(sphere3))
     assert recover_density(sphere3, frame).values[cap].min() > 0.0
 
 
@@ -160,7 +161,7 @@ def test_trials_solve_for_lambda1_alone(sphere3, monkeypatch):
     cfg = AscentConfig(seed=1)
     mu = project_density(sphere3, random_density(sphere3, 7).values, 0.0,
                          4.0 / sphere3.area)
-    _, spectral, _, info = ascent_step(sphere3, mu, cfg, assemble_stiffness(sphere3))
+    _, spectral, _, info = ascent_step(mu, cfg, assemble_stiffness(sphere3))
     assert info["trials"] == 3  # t = 1/2 and 1/4 rejected, t = 1/8 accepted
     assert asked == [cfg.k_eigen, 1, 1, 1]
     assert len(spectral.eigenvalues) == cfg.k_eigen
@@ -320,7 +321,7 @@ def test_fully_saturated_density_certifies(sphere2):
     # at N = 1 the only feasible density is uniform at the cap: the sphere
     # constraint binds nowhere, so its residual is over an empty set
     mu, _, _, trace = maximize(sphere2, "uniform", AscentConfig(n_schedule=(1.0,)))
-    assert saturated_measure(sphere2, mu) == pytest.approx(sphere2.area)
+    assert saturated_measure(mu) == pytest.approx(sphere2.area)
     assert trace.certificate["sphere_residual"] == 0.0
 
 
@@ -328,7 +329,7 @@ def test_negative_floor_mode(sphere3):
     cfg = AscentConfig(n_schedule=(4.0,), floor=-0.5, max_iters=40)
     mu, spectral, _, trace = maximize(sphere3, "uniform", cfg)
     assert mu.values.min() >= -0.5 / sphere3.area - 1e-12
-    assert negative_measure(sphere3, mu) <= 1e-12
+    assert negative_measure(mu) <= 1e-12
     assert trace.status == "converged"
 
 
@@ -340,9 +341,9 @@ def test_measures(sphere2):
     rest = 1.0 - a[:5].sum() * cap
     vals[5:] = rest / a[5:].sum()
     mu = DensityField(sphere2, vals, 0.0, cap)
-    sat = saturated_measure(sphere2, mu)
+    sat = saturated_measure(mu)
     assert sat >= sphere2.vertex_areas[:5].sum() * (1.0 - 1e-9)
-    assert negative_measure(sphere2, mu) == 0.0
+    assert negative_measure(mu) == 0.0
 
 
 def _all_pairs(mesh):
@@ -360,13 +361,13 @@ def test_detect_collapse_flags_concentration(sphere3):
     vals = np.where(near, 1.0, 1e-9)
     vals /= sphere3.vertex_areas @ vals
     mu = DensityField(sphere3, vals)
-    out = detect_collapse(mu, sphere3)
+    out = detect_collapse(mu)
     assert out["flag"]
     assert out["max_ball_mass"][0.05] > 0.5
 
 
 def test_detect_collapse_uniform_clean(sphere3):
-    out = detect_collapse(uniform_density(sphere3), sphere3)
+    out = detect_collapse(uniform_density(sphere3))
     assert not out["flag"]
 
 
@@ -390,7 +391,7 @@ def test_detect_collapse_matches_all_pairs(sphere3, eq_torus16, density):
                  else random_density(mesh, 5))
         for mu in (first, random_density(mesh, 11)):
             diam, ref = _reference_record(d, mu)
-            out = detect_collapse(mu, mesh)
+            out = detect_collapse(mu)
             assert out["diameter"] == diam
             assert out["max_ball_mass"] == ref
             assert out["flag"] == (ref[0.05] > 0.5)
@@ -412,7 +413,7 @@ def test_collapse_search_memory():
         held = dict(vars(mesh))
         tracemalloc.start()
         try:
-            detect_collapse(mu, mesh)
+            detect_collapse(mu)
             gc.collect()
             kept, peak = tracemalloc.get_traced_memory()
         finally:
@@ -424,7 +425,7 @@ def test_collapse_search_memory():
 
 
 def test_double_sweep_diameter_exact_on_flat_torus(eq_torus16):
-    out = detect_collapse(uniform_density(eq_torus16), eq_torus16)
+    out = detect_collapse(uniform_density(eq_torus16))
     assert out["diameter"] == _all_pairs(eq_torus16).max()
 
 
@@ -441,6 +442,37 @@ def test_make_initial_density_variants(sphere2):
     for spec in ("banana", "randomX", "random:", "random:x", "random_peak.json"):
         with pytest.raises(ValueError):
             make_initial_density(sphere2, spec, 0.0, cap)
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_density_of_another_mesh_is_refused(sphere2):
+    # icosphere:2 and the 9 x 18 square torus both have V = 162, so only the
+    # density's own mesh tells them apart
+    torus = gen_flat_torus(SQUARE, 9, 18)
+    assert torus.vertex_count == sphere2.vertex_count
+    cap, config = 4.0 / torus.area, AscentConfig(n_schedule=(4.0,), max_iters=1)
+    foreign, own = random_density(sphere2, 0), random_density(torus, 0)
+    for call in (lambda mu: make_initial_density(torus, mu, 0.0, cap),
+                 lambda mu: assemble_mass(torus, mu),
+                 lambda mu: maximize(torus, mu, config)):
+        with pytest.raises(DensityError, match="^density lives on another mesh$"):
+            call(foreign)
+        call(own)  # a density on the same mesh object is accepted
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_point_mass_start_ends_in_collapse():
+    # 0.9 of the mass on vertex 0 and the rest uniform, a peak 45.2 times the
+    # mean: one step at N = 64 leaves over half the mass in one 0.05 ball
+    mesh = gen_icosphere(1)
+    a = mesh.vertex_areas
+    vals = np.full(mesh.vertex_count, 0.1 / (mesh.area - a[0]))
+    vals[0] = 0.9 / a[0]
+    trace = maximize(mesh, vals, AscentConfig(n_schedule=(64.0,), max_iters=1))[3]
+    assert trace.status == "collapse"
+    collapse = trace.certificate["collapse"]
+    assert collapse["flag"]
+    assert collapse["max_ball_mass"][0.05] > 0.5
 
 
 @pytest.mark.filterwarnings("ignore:sphere constraint unattained")

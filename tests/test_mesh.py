@@ -296,6 +296,12 @@ def test_length_on_a_mesh_without_triangles_is_stray():
     assert str(exc.value) == "length given for (0,1), not an edge of any triangle"
 
 
+def test_triangles_must_be_index_triples():
+    with pytest.raises(MeshError) as exc:
+        TriangleMesh(3, [[0, 1]], [])
+    assert str(exc.value) == "triangles must be an (F, 3) index array"
+
+
 def _sorted_first_lengths(vertex_count, rows):
     """Reference: rows sorted by (edge key, length), each key's first length."""
     rows = np.asarray(rows, dtype=float).reshape(-1, 3)
