@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import solve_pencil
-from .fem import DensityField, assemble_mass, assemble_stiffness, uniform_density
+from .fem import DensityField, assemble_mass, uniform_density
 from .frame import select_frame
 from .maximizer import AscentConfig, ascent_step, maximize
 from .mesh import EQUILATERAL, SQUARE, SURFACES, mesh_from_spec  # noqa: F401
@@ -41,8 +41,7 @@ def _result(name, passed, value, target, detail=""):
 def _uniform_spectrum(spec, k, seed, **solver):
     """The uniform-density pencil solve on the generator spec's mesh."""
     mesh = mesh_from_spec(spec)
-    M = assemble_mass(mesh, uniform_density(mesh))
-    return solve_pencil(assemble_stiffness(mesh), M, k=k, seed=seed, **solver)
+    return solve_pencil(assemble_mass(mesh, uniform_density(mesh)), k=k, seed=seed, **solver)
 
 
 def _clusters_check(name, res, sizes, targets, rel_tol):
@@ -94,7 +93,7 @@ def fixed_point_check(mesh, name, tol=1e-6, seed=0):
     cfg = AscentConfig(seed=seed)
     cap = cfg.n_schedule[-1] / mesh.area
     mu = DensityField(mesh, uniform_density(mesh).values, 0.0, cap)
-    mu_next, _, _, info = ascent_step(mu, cfg, assemble_stiffness(mesh))
+    mu_next, _, _, info = ascent_step(mu, cfg)
     dist = float(mesh.vertex_areas @ np.abs(mu_next.values - mu.values))
     return _result(f"{name} uniform fixed point", dist <= tol, dist,
                    f"L1 move <= {tol}", f"L1 move {dist:.3e}, step {info['step']}")
@@ -136,12 +135,10 @@ def property_checks(seed=0):
 
     # stiffness conformal invariance, exact for power-of-two scalings
     mesh = mesh_from_spec("icosphere:2")
-    K = assemble_stiffness(mesh)
     scaled = type(mesh)(mesh.vertex_count, mesh.triangles,
                         [(int(i), int(j), 2.0 * l) for (i, j), l in
                          zip(mesh.edges, mesh.edge_lengths)])
-    K2 = assemble_stiffness(scaled).matrix
-    diff = abs(K.matrix - K2).max()
+    diff = abs(mesh.stiffness.matrix - scaled.stiffness.matrix).max()
     out.append(_result("stiffness conformal invariance", diff == 0.0, diff,
                        "exact", f"max entry diff {diff}"))
 
@@ -168,7 +165,7 @@ def property_checks(seed=0):
 
     # frame objective invariance under orthogonal basis change
     M = assemble_mass(mesh, uniform_density(mesh))
-    res = solve_pencil(K, M, k=4, seed=seed)
+    res = solve_pencil(M, k=4, seed=seed)
     basis = res.cluster_basis(0)
     f1 = select_frame(basis, mesh).objective
     R = np.linalg.qr(rng.standard_normal((basis.shape[1],) * 2))[0]

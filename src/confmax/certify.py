@@ -26,10 +26,10 @@ def yang_yau_bound(genus):
     return SURFACES["icosphere"].lambda1_area * ((genus + 3) // 2)
 
 
-def certificate(mu, spectral, frame, K):
-    """Full diagnostic record for one (density, spectrum, frame) triple.
+def certificate(mu, spectral, frame):
+    """Full diagnostic record for one (density, spectrum, frame) triple on one mesh.
 
-    K is the StiffnessMatrix of the density's mesh, for the harmonic-map residual.
+    A spectrum or frame of another mesh than the density's is a ValueError.
 
     One sum_i |grad u_i|^2 evaluation serves the density recovery (nu is
     bitwise recover_density's), the singular vertices and identity_residual,
@@ -41,8 +41,8 @@ def certificate(mu, spectral, frame, K):
     linear in V, and stores nothing on the mesh.
     """
     mesh = mu.mesh
-    if frame.U.shape[0] != mesh.vertex_count:
-        raise ValueError("inconsistent mesh references across inputs")
+    if not (spectral.mesh is frame.mesh is mesh):
+        raise ValueError("spectrum or frame lives on another mesh than the density")
     lam_area = spectral.lambda1
 
     # sphere constraint off the saturated set; a fully saturated density has none
@@ -53,7 +53,7 @@ def certificate(mu, spectral, frame, K):
     recovery_l1 = float(mesh.vertex_areas @ np.abs(nu - mu.values))
 
     # identity residual on the raw (unnormalized) frame
-    a = np.einsum("vi,vi->v", frame.U, K.matrix @ frame.U)
+    a = np.einsum("vi,vi->v", frame.U, mesh.stiffness.matrix @ frame.U)
     b = grad_sum * mesh.vertex_areas
     identity = float(np.abs(a - b).sum() / np.abs(b).sum())
 
@@ -69,7 +69,7 @@ def certificate(mu, spectral, frame, K):
         "lambda1_area": float(lam_area),
         "sphere_residual": sphere_residual,
         "density_recovery_L1": recovery_l1,
-        "harmonic_weak_residual": harmonic_residual(mesh, frame, K),
+        "harmonic_weak_residual": harmonic_residual(frame),
         "identity_residual": identity,
         "neg_set_measure": negative_measure(mu),
         "sat_set_measure_times_N": (

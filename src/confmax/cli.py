@@ -23,7 +23,7 @@ from scipy.io import mmwrite
 from . import bench as bench_mod
 from .certify import save_certificate
 from .eigen import EigenError, solve_pencil, spectrum_rows
-from .fem import DensityError, assemble_mass, assemble_stiffness
+from .fem import DensityError, assemble_mass
 from .frame import FrameError
 from .maximizer import (RANDOM_SPEC, AscentConfig, ProjectionError, make_initial_density,
                         maximize, trace_csv_rows)
@@ -102,9 +102,9 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _dump_matrices(out, K, M):
-    """Write K and M as MatrixMarket coordinate files stiffness.mtx and mass.mtx."""
-    mmwrite(str(out / "stiffness.mtx"), K.matrix)
+def _dump_matrices(out, M):
+    """Write M and its mesh's K as MatrixMarket coordinate files mass.mtx and stiffness.mtx."""
+    mmwrite(str(out / "stiffness.mtx"), M.mesh.stiffness.matrix)
     mmwrite(str(out / "mass.mtx"), M.matrix)
 
 
@@ -113,9 +113,8 @@ def cmd_spectrum(args):
     floor = config.floor / mesh.area
     cap = AscentConfig.n_schedule[-1] / mesh.area  # the default schedule's last stage
     mu = make_initial_density(mesh, init, floor, cap, seed=config.seed)
-    K = assemble_stiffness(mesh)
     M = assemble_mass(mesh, mu)
-    result = solve_pencil(K, M, k=config.k_eigen, seed=config.seed)
+    result = solve_pencil(M, k=config.k_eigen, seed=config.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "spectrum.csv", ["index", "lambda", "residual", "cluster"],
@@ -129,7 +128,7 @@ def cmd_spectrum(args):
     }
     (out / "spectrum.json").write_text(json.dumps(summary, indent=2))
     if args.dump_matrices:
-        _dump_matrices(out, K, M)
+        _dump_matrices(out, M)
     print(f"lambda1_area = {result.lambda1:.6f}  "
           f"(first cluster size {len(result.clusters[0])})")
     return EXIT_OK
@@ -156,7 +155,7 @@ def cmd_maximize(args):
     }
     (out / "final.json").write_text(json.dumps(state, indent=2))
     if args.dump_matrices:
-        _dump_matrices(out, assemble_stiffness(mesh), assemble_mass(mesh, mu))
+        _dump_matrices(out, assemble_mass(mesh, mu))
     print(f"status = {trace.status}  lambda1_area = {spectral.lambda1:.6f}")
     return EXIT_OK
 

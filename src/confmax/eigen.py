@@ -3,7 +3,7 @@
 The stiffness K does not depend on the density (the Dirichlet energy is a
 conformal invariant), so every solve on a mesh uses one factor: the banded
 Cholesky factor R of K grounded at vertex 0 in reverse Cuthill-McKee order,
-R^T R = P^T K_g P, built on the first solve and held by the StiffnessMatrix.
+R^T R = P^T K_g P, built on the first solve and held by mesh.stiffness.
 The grounded matrix is positive definite because meshes are connected. With
 
     Z y = Q E P R^-1 y[1:],    m = M 1,    Q = I - 1 m^T / (1^T m),
@@ -93,6 +93,7 @@ from scipy.linalg.lapack import dtbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .fem import upper_band
+from .mesh import TriangleMesh
 
 
 class EigenError(RuntimeError):
@@ -115,6 +116,7 @@ class SpectralResult:
     eigenvalues are the pencil values; with a unit-mass density they equal the
     scale-invariant product (first eigenvalue) x (conformal area).
     """
+    mesh: TriangleMesh               # the mesh of the pencil
     eigenvalues: np.ndarray          # (k,) ascending, positive
     eigenvectors: np.ndarray         # (V, k), M-orthonormal
     residuals: np.ndarray            # (k,) relative residuals
@@ -143,13 +145,13 @@ def cluster_eigenvalues(lam, rel_gap=DEFAULT_REL_GAP):
     return tuple(tuple(g) for g in groups)
 
 
-def _standard_operator(K, M):
+def _standard_operator(M):
     """(S, lift, calls): S = Z^T M Z as a LinearOperator and lift(y) = Z y.
 
-    y is one vector or a block of V rows; row 0 is the dead slot. Q^T M Q =
-    M - m m^T / (1^T m), so with M_g and m_g the rows and columns of M and m
-    of vertices 1..V-1 in the factor's order (gathered once per operator by
-    K.grounded),
+    K is the stiffness of M's mesh. y is one vector or a block of V rows;
+    row 0 is the dead slot. Q^T M Q = M - m m^T / (1^T m), so with M_g and
+    m_g the rows and columns of M and m of vertices 1..V-1 in the factor's
+    order (gathered once per operator by K.grounded),
 
         S y = [0; R^-T (M_g z - m_g (m_g^T z) / (1^T m))],   z = R^-1 y[1:]:
 
@@ -158,6 +160,7 @@ def _standard_operator(K, M):
     density's M that is not PSD up to tau = 1e-12 max |diag M| (module
     docstring) is an IndefiniteMassError.
     """
+    K = M.mesh.stiffness
     order, band = K.grounded_factor
     Mmat = M.matrix
     n = Mmat.shape[0]
@@ -192,19 +195,19 @@ def _standard_operator(K, M):
     return LinearOperator((n, n), matvec=apply, dtype=float), lift, calls
 
 
-def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
+def solve_pencil(M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
     """k smallest eigenpairs of K u = lambda M u above the deflated zero mode.
 
-    K is a StiffnessMatrix and M a MassMatrix. k may be at most V - 1, the
-    number of nonzero eigenvalues.
+    M is a MassMatrix and K the stiffness of its mesh; the result names that
+    mesh. k may be at most V - 1, the number of nonzero eigenvalues.
     """
-    Kmat, Mmat = K.matrix, M.matrix
+    Kmat, Mmat = M.mesh.stiffness.matrix, M.matrix
     n = Kmat.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be between 1 and {n - 1} (V - 1), got {k}")
 
     try:
-        S, lift, calls = _standard_operator(K, M)
+        S, lift, calls = _standard_operator(M)
     except np.linalg.LinAlgError as exc:  # grounded K not positive definite
         raise EigenError(f"pencil solve failed: {exc}") from exc
     ncv = min(n, LAMBDA1_KRYLOV if k == 1 else max(2 * k + 3, 20))
@@ -234,6 +237,7 @@ def solve_pencil(K, M, k, rel_gap=DEFAULT_REL_GAP, seed=0):
     lam = np.einsum("ij,ij->j", vec, Kv) / np.einsum("ij,ij->j", vec, Mv)
 
     return SpectralResult(
+        mesh=M.mesh,
         eigenvalues=lam,
         eigenvectors=vec,
         residuals=res,

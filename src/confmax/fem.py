@@ -1,21 +1,23 @@
 """P1 finite element assembly on intrinsic meshes.
 
 Stiffness is the cotangent matrix (mu-independent: Dirichlet energy is a
-conformal invariant in 2D), so it also holds the mesh's one banded Cholesky
-factor; mass carries the per-vertex conformal density.
+conformal invariant in 2D), so the mesh holds it, and with it its one banded
+Cholesky factor; mass carries the per-vertex conformal density and its mesh.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .mesh import TriangleMesh
+if TYPE_CHECKING:
+    from .mesh import TriangleMesh
 
 
 class DensityError(ValueError):
@@ -82,11 +84,12 @@ def random_density(mesh, seed):
 class StiffnessMatrix:
     """Cotangent stiffness K, its grounded factor and its grounded gather.
 
-    K's null space is the constants of a connected mesh, so K without vertex
-    0's row and column is positive definite. Its factor, built on the first
-    pencil solve, serves every solve on the mesh: the stiffness does not
-    depend on the density. The mass matrices of the mesh share K's pattern,
-    so the gather that grounds and reorders one is planned once here too.
+    A mesh holds one, mesh.stiffness. K's null space is the constants of a
+    connected mesh, so K without vertex 0's row and column is positive
+    definite. Its factor, built on the first pencil solve, serves every solve
+    on the mesh: the stiffness does not depend on the density. The mass
+    matrices of the mesh share K's pattern, so the gather that grounds and
+    reorders one is planned once here too.
     """
     matrix: sparse.csr_matrix
 
@@ -126,12 +129,7 @@ class StiffnessMatrix:
 
         matrix must be on K's CSR pattern, as every assemble_mass matrix of
         the mesh is: both are assembled into the mesh's element_slots.
-        Another pattern, such as another mesh's, is a ValueError.
         """
-        K = self.matrix
-        if not (np.array_equal(matrix.indptr, K.indptr)
-                and np.array_equal(matrix.indices, K.indices)):
-            raise ValueError("mass and stiffness matrices are not on one mesh's pattern")
         _, take, indices, indptr = self._grounded_gather
         n = len(indptr) - 1
         return sparse.csr_matrix((matrix.data[take], indices, indptr), shape=(n, n))
@@ -150,6 +148,7 @@ def upper_band(P):
 
 @dataclass(frozen=True)
 class MassMatrix:
+    mesh: TriangleMesh
     matrix: sparse.csr_matrix
     nonnegative: bool  # no negative density: every element block is PSD, so M is
 
@@ -182,7 +181,7 @@ def _assemble(mesh, element):
 
 
 def assemble_stiffness(mesh):
-    """Cotangent stiffness: K_ij = -(cot a + cot b)/2 on edges, zero row sums."""
+    """Cotangent stiffness K_ij = -(cot a + cot b)/2 on edges, zero row sums (mesh.stiffness)."""
     cot = mesh.cotangents
     # warn on nearly degenerate corners (angle below ~1e-8 rad => huge cot)
     thin = np.nonzero(np.abs(cot).max(axis=1) > 1.0 / 1e-8)[0]
@@ -201,7 +200,7 @@ def assemble_mass(mesh, density):
     """
     mu = _vertex_values(mesh, density)
     corner = mu[mesh.triangles] * (mesh.areas / 60.0)[:, None]
-    return MassMatrix(_assemble(mesh, corner @ _MASS_BASIS), bool(mu.min() >= 0.0))
+    return MassMatrix(mesh, _assemble(mesh, corner @ _MASS_BASIS), bool(mu.min() >= 0.0))
 
 
 def gradient_field(mesh, U):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import DensityField, assemble_mass, gradient_field
+from .mesh import TriangleMesh
 
 # Dunavant 6-point rule, exact for quartics on the reference triangle.
 _QP = np.array([
@@ -50,7 +51,8 @@ class FrameError(RuntimeError):
 
 @dataclass(frozen=True)
 class SphereFrame:
-    """Selected eigenfunctions and the candidate sphere map they define."""
+    """Selected eigenfunctions on a mesh and the candidate sphere map they define."""
+    mesh: TriangleMesh        # the mesh the eigenfunctions live on
     ell: int                  # numerical rank of Q
     U: np.ndarray             # (V, ell) selected eigenfunctions
     Q: np.ndarray             # (m, m) PSD coefficient matrix on the input basis
@@ -201,21 +203,21 @@ def select_frame(basis, mesh):
         raise FrameError("coefficient matrix vanished")
     U = basis @ (P[:, keep] * np.sqrt(d[keep]))
     w = np.einsum("va,ab,vb->v", basis, Q, basis)
-    return SphereFrame(ell=int(keep.sum()), U=U, Q=Q, w=w, objective=f,
+    return SphereFrame(mesh=mesh, ell=int(keep.sum()), U=U, Q=Q, w=w, objective=f,
                        attained=attained, iterations=iterations,
                        stop_reason=stop_reason)
 
 
-def harmonic_residual(mesh, frame, K):
+def harmonic_residual(frame):
     """Discrete tension-field test of the normalized map phi / sqrt(w).
 
-    K is the mesh's StiffnessMatrix. Returns the weak residual, the float
-    ||K phi - rho M phi|| / ||K phi|| over the non-degenerate vertices, with
-    rho = |grad phi|^2 per vertex and M the plain mass. It aggregates all
+    Returns the weak residual, the float ||K phi - rho M phi|| / ||K phi||
+    over the non-degenerate vertices, with K the stiffness of the frame's
+    mesh, rho = |grad phi|^2 per vertex and M the plain mass. It aggregates all
     components in the Frobenius norm (this makes the figure invariant under
     global rotations of the frame, which the per-component maximum is not).
     """
-    w = frame.w
+    mesh, w = frame.mesh, frame.w
     degenerate = w <= DEGENERATE_W_REL * max(w.max(), 1.0)
     if degenerate.mean() > 0.01:
         raise FrameError("map degenerate: w = 0 on more than 1% of vertices")
@@ -223,7 +225,7 @@ def harmonic_residual(mesh, frame, K):
     phi = np.zeros_like(frame.U)
     phi[good] = frame.U[good] / np.sqrt(w[good])[:, None]
 
-    K = K.matrix
+    K = mesh.stiffness.matrix
     rho = gradient_field(mesh, phi)[1]
     Mplain = assemble_mass(mesh, np.ones(mesh.vertex_count)).matrix
 
@@ -232,13 +234,13 @@ def harmonic_residual(mesh, frame, K):
     return float(np.linalg.norm(R[good]) / np.linalg.norm(Kphi[good]))
 
 
-def recover_density(mesh, frame):
-    """Raw density candidate sum_i |grad u_i|^2, renormalized to unit mass.
+def recover_density(frame):
+    """Raw density candidate sum_i |grad u_i|^2 on the frame's mesh, renormalized to unit mass.
 
     The extremality identity reads mu = sum_i |grad u_i|^2 / lambda_1, but
     lambda_1 is one constant factor: the unit-mass renormalization divides it
     out again, so the frame needs no eigenvalue. Deliberately not box-clipped.
     """
-    vert = gradient_field(mesh, frame.U)[1]
-    vert /= mesh.vertex_areas @ vert
-    return DensityField(mesh, vert)
+    vert = gradient_field(frame.mesh, frame.U)[1]
+    vert /= frame.mesh.vertex_areas @ vert
+    return DensityField(frame.mesh, vert)

@@ -15,8 +15,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .eigen import DEFAULT_REL_GAP, solve_pencil
-from .fem import (DensityField, _vertex_values, assemble_mass, assemble_stiffness,
-                  random_density, uniform_density)
+from .fem import (DensityField, _vertex_values, assemble_mass, random_density,
+                  uniform_density)
 from .frame import recover_density, select_frame
 
 
@@ -130,19 +130,19 @@ def project_density(mesh, values, floor, cap):
     return DensityField(mesh, np.clip(values + c, floor, cap), floor, cap)
 
 
-def _solve(K, density, config, k):
+def _solve(density, config, k):
     # k = config.k_eigen where the leading cluster is used (frame, certificate):
     # ARPACK resolves a degenerate lambda_1 cluster far better when the requested
     # block spans it. A line-search trial reads lambda_1 alone, so it asks for
     # k = 1 and stays clear of the slowly converging higher clusters.
-    return solve_pencil(K, assemble_mass(density.mesh, density), k=k,
+    return solve_pencil(assemble_mass(density.mesh, density), k=k,
                         rel_gap=config.rel_gap, seed=config.seed)
 
 
-def ascent_step(mu_k, config, K):
+def ascent_step(mu_k, config):
     """One damped fixed-point step with the eigenvalue-ascent safeguard.
 
-    The step runs on the density's mesh, whose StiffnessMatrix is K. Returns
+    The step runs on the density's mesh, with its stiffness. Returns
     (mu_next, spectral_at_mu_k, frame_at_mu_k, info). info records the
     accepted step size (0.0 when every trial decreased lambda and the iterate
     was kept), the eigenvalue at the accepted density, the number of
@@ -154,10 +154,10 @@ def ascent_step(mu_k, config, K):
     lambda_1 alone, the only value the safeguard compares.
     """
     mesh, floor, cap = mu_k.mesh, mu_k.floor, mu_k.cap
-    spectral = _solve(K, mu_k, config, config.k_eigen)
+    spectral = _solve(mu_k, config, config.k_eigen)
     frame = select_frame(spectral.cluster_basis(0), mesh)
     lam_k = spectral.lambda1
-    nu = recover_density(mesh, frame)
+    nu = recover_density(frame)
 
     # accept only non-decreasing moves (tiny slack for eigensolver jitter);
     # anything looser breaks both the monotone-trace invariant and the exact
@@ -171,7 +171,7 @@ def ascent_step(mu_k, config, K):
         cand = project_density(mesh, (1.0 - t) * mu_k.values + t * nu.values,
                                floor, cap)
         capped = capped or bool(cand.values.max() >= cap)
-        trial = _solve(K, cand, config, 1)
+        trial = _solve(cand, config, 1)
         applications += trial.applications
         lam_c = trial.lambda1
         if lam_c >= lam_k - tol_abs:
@@ -270,7 +270,6 @@ def maximize(mesh, mu0, config=AscentConfig()):
     """
     from .certify import certificate  # local import: certify depends on this module
 
-    K = assemble_stiffness(mesh)
     floor = config.floor / mesh.area
     trace = AscentTrace()
     mu = mu0
@@ -284,7 +283,7 @@ def maximize(mesh, mu0, config=AscentConfig()):
         converged = settled
         for _ in range(0 if settled else config.max_iters):
             t0 = time.perf_counter()
-            mu_next, spectral, frame, info = ascent_step(mu, config, K)
+            mu_next, spectral, frame, info = ascent_step(mu, config)
             wall = (time.perf_counter() - t0) * 1e3
             trace.rows.append(TraceRow(
                 iter=len(trace.rows), N=n_rel,
@@ -307,11 +306,11 @@ def maximize(mesh, mu0, config=AscentConfig()):
         trace.saturation_constant = max(trace.saturation_constant,
                                         saturated_measure(mu) * cap)
 
-    spectral = _solve(K, mu, config, config.k_eigen)
+    spectral = _solve(mu, config, config.k_eigen)
     frame = select_frame(spectral.cluster_basis(0), mesh)
     if detect_collapse(mu)["flag"]:
         trace.status = "collapse"
-    trace.certificate = certificate(mu, spectral, frame, K)
+    trace.certificate = certificate(mu, spectral, frame)
     return mu, spectral, frame, trace
 
 

@@ -16,6 +16,8 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .fem import assemble_stiffness
+
 
 class MeshError(ValueError):
     """Invalid mesh input: non-manifold, open, mis-oriented or degenerate."""
@@ -66,8 +68,8 @@ class TriangleMesh:
     genus : int
     embedding : (V, 3) float array the lengths were measured on (from_embedding), or None
 
-    All are set at construction. The one value cached on the mesh afterwards
-    is `element_slots`, built on first assembly; its size is linear in F.
+    All are set at construction. Two values are cached on the mesh: `element_slots`,
+    built on first assembly, linear in F; and `stiffness`, its one StiffnessMatrix.
     """
 
     def __init__(self, vertex_count, triangles, edge_lengths):
@@ -101,6 +103,11 @@ class TriangleMesh:
             a.flags.writeable = False
         return slots.reshape(-1, 3, 3), pattern.indices, pattern.indptr
 
+    @cached_property
+    def stiffness(self):
+        """The cotangent StiffnessMatrix, whose factor every pencil solve on the mesh shares."""
+        return assemble_stiffness(self)
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -111,6 +118,10 @@ class TriangleMesh:
             raise MeshError("embedding must be (V, 3)")
         triangles = _as_triangles(triangles, len(vertices))
         tail, head = _corner_pairs(triangles)
+        # one row per edge: the first corner pair of each, in either direction
+        _, first = np.unique(np.minimum(tail, head) * len(vertices) + np.maximum(tail, head),
+                             return_index=True)
+        tail, head = tail[first], head[first]
         lengths = np.linalg.norm(vertices[tail] - vertices[head], axis=1)
         mesh = cls(len(vertices), triangles, np.column_stack([tail, head, lengths]))
         mesh.embedding = vertices

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from confmax.certify import (certificate, moebius_map, save_certificate,
                              yang_yau_bound)
 from confmax.eigen import solve_pencil
-from confmax.fem import assemble_mass, assemble_stiffness, random_density, uniform_density
+from confmax.fem import assemble_mass, random_density, uniform_density
 from confmax.frame import recover_density, select_frame
 from confmax.maximizer import project_density
 from confmax.mesh import gen_flat_torus
@@ -17,8 +18,7 @@ from conftest import EQUILATERAL, SQUARE
 def _sphere_inputs(mesh):
     cap = 4.0 / mesh.area
     mu = project_density(mesh, uniform_density(mesh).values, 0.0, cap)
-    K = assemble_stiffness(mesh)
-    spectral = solve_pencil(K, assemble_mass(mesh, mu), k=8)
+    spectral = solve_pencil(assemble_mass(mesh, mu), k=8)
     frame = select_frame(spectral.cluster_basis(0), mesh)
     return mu, spectral, frame
 
@@ -32,7 +32,7 @@ def test_yang_yau_values():
 
 def test_certificate_round_sphere(sphere4):
     mu, spectral, frame = _sphere_inputs(sphere4)
-    cert = certificate(mu, spectral, frame, assemble_stiffness(sphere4))
+    cert = certificate(mu, spectral, frame)
     assert cert["schema"] == "confspec-cert-1"
     assert abs(cert["lambda1_area"] - 8 * math.pi) / (8 * math.pi) < 1e-2
     assert cert["sphere_residual"] < 5e-2
@@ -52,9 +52,9 @@ def test_certificate_flat_equilateral_torus():
     mesh = gen_flat_torus(EQUILATERAL, 32, 32)
     cap = 4.0 / mesh.area
     mu = project_density(mesh, uniform_density(mesh).values, 0.0, cap)
-    spectral = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh, mu), k=8)
+    spectral = solve_pencil(assemble_mass(mesh, mu), k=8)
     frame = select_frame(spectral.cluster_basis(0), mesh)
-    cert = certificate(mu, spectral, frame, assemble_stiffness(mesh))
+    cert = certificate(mu, spectral, frame)
     assert cert["bounds"]["genus"] == 1
     assert cert["bounds"]["bound_value"] == pytest.approx(16 * math.pi)
     assert cert["bounds"]["yang_yau_ok"]
@@ -72,24 +72,39 @@ def test_certificate_recovery_reads_the_recovered_density(sphere3, case):
         mesh = gen_flat_torus(SQUARE, 12, 12)
         mu0 = random_density(mesh, 1)
     mu = project_density(mesh, mu0.values, 0.0, 4.0 / mesh.area)
-    K = assemble_stiffness(mesh)
-    spectral = solve_pencil(K, assemble_mass(mesh, mu), k=8)
+    spectral = solve_pencil(assemble_mass(mesh, mu), k=8)
     frame = select_frame(spectral.cluster_basis(0), mesh)
-    cert = certificate(mu, spectral, frame, K)
-    nu = recover_density(mesh, frame)
+    cert = certificate(mu, spectral, frame)
+    nu = recover_density(frame)
     assert cert["density_recovery_L1"] == float(
         mesh.vertex_areas @ np.abs(nu.values - mu.values))
 
 
 def test_certificate_rejects_mismatched_mesh(sphere3, sphere2):
     _, spectral, frame = _sphere_inputs(sphere3)
-    with pytest.raises(ValueError):
-        certificate(uniform_density(sphere2), spectral, frame, assemble_stiffness(sphere3))
+    with pytest.raises(ValueError, match="another mesh"):
+        certificate(uniform_density(sphere2), spectral, frame)
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_certificate_refuses_every_mixed_triple(sphere2):
+    # icosphere:2 and the 9 x 18 square torus both have V = 162, so only the
+    # mesh each input names tells them apart
+    torus = gen_flat_torus(SQUARE, 9, 18)
+    assert torus.vertex_count == sphere2.vertex_count
+    inputs = [_sphere_inputs(mesh) for mesh in (sphere2, torus)]
+    for picks in itertools.product((0, 1), repeat=3):
+        triple = [inputs[m][slot] for slot, m in enumerate(picks)]
+        if len(set(picks)) == 1:
+            assert certificate(*triple)["schema"] == "confspec-cert-1"
+        else:
+            with pytest.raises(ValueError, match="another mesh"):
+                certificate(*triple)
 
 
 def test_save_certificate_roundtrip(sphere3, tmp_path):
     mu, spectral, frame = _sphere_inputs(sphere3)
-    cert = certificate(mu, spectral, frame, assemble_stiffness(sphere3))
+    cert = certificate(mu, spectral, frame)
     p = tmp_path / "cert.json"
     save_certificate(cert, p)
     loaded = json.loads(p.read_text())

@@ -2,12 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import mmread
 
+import confmax.fem
 from confmax.bench import BenchResult
 from confmax.cli import _ascent_config, build_parser, main
 from confmax.eigen import EigenError
@@ -42,10 +44,21 @@ def test_spectrum_flat_torus_rect(tmp_path):
 @pytest.mark.parametrize("command", [["spectrum"],
                                      ["maximize", "--n-schedule", "4", "--max-iters", "2"]],
                          ids=["spectrum", "maximize"])
-def test_spectrum_dump_matrices(tmp_path, command):
+def test_spectrum_dump_matrices(tmp_path, command, monkeypatch):
+    # stiffness.mtx is the K the run solved with, held by its mesh: no second assembly
+    calls = [0]
+    assemble = confmax.fem.assemble_stiffness
+
+    def counting(mesh):
+        calls[0] += 1
+        return assemble(mesh)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("confmax") and getattr(module, "assemble_stiffness", None) is assemble:
+            monkeypatch.setattr(module, "assemble_stiffness", counting)
     out = tmp_path / "run"
     rc = main([*command, "--gen", "icosphere:2", "--out", str(out), "--dump-matrices"])
     assert rc == 0
+    assert calls[0] == 1
     K, M = (mmread(out / name).tocsr() for name in ("stiffness.mtx", "mass.mtx"))
     for A in (K, M):
         A.sort_indices()

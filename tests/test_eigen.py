@@ -11,15 +11,14 @@ import confmax.eigen
 import confmax.fem
 from confmax.eigen import (EigenError, IndefiniteMassError, cluster_eigenvalues,
                            solve_pencil, spectrum_rows)
-from confmax.fem import assemble_mass, assemble_stiffness, random_density, uniform_density
+from confmax.fem import assemble_mass, random_density, uniform_density
 from confmax.mesh import gen_flat_torus, gen_icosphere
 from conftest import SQUARE, polar_cap, tilted_density, vanishing_density
 
 
 def _solve_uniform(mesh, k, seed=0):
-    K = assemble_stiffness(mesh)
     M = assemble_mass(mesh, uniform_density(mesh))
-    return solve_pencil(K, M, k=k, seed=seed), K, M
+    return solve_pencil(M, k=k, seed=seed), mesh.stiffness, M
 
 
 def test_sphere_first_clusters(sphere4):
@@ -70,10 +69,9 @@ def test_residuals_small(sphere3):
 
 
 def test_density_scaling_rescales_eigenvalues(sphere2):
-    K = assemble_stiffness(sphere2)
     mu = uniform_density(sphere2).values
-    res1 = solve_pencil(K, assemble_mass(sphere2, mu), k=4)
-    res2 = solve_pencil(K, assemble_mass(sphere2, 3.0 * mu), k=4)
+    res1 = solve_pencil(assemble_mass(sphere2, mu), k=4)
+    res2 = solve_pencil(assemble_mass(sphere2, 3.0 * mu), k=4)
     assert np.abs(res2.eigenvalues * 3.0 - res1.eigenvalues).max() \
         < 1e-8 * res1.eigenvalues.max()
 
@@ -96,9 +94,9 @@ def test_lambda1_alone_matches_leading_block(case, sphere2, sphere3, square_toru
                 "equilateral 4+2": (eq_torus16, uniform_density(eq_torus16)),
                 "tilted sphere": (sphere3, tilted_density(sphere3, 43000)),
                 "vanishing star": (sphere2, vanishing_density(sphere2, [0]))}[case]
-    K, M = assemble_stiffness(mesh), assemble_mass(mesh, mu)
-    alone = solve_pencil(K, M, k=1)
-    block = solve_pencil(K, M, k=8)
+    K, M = mesh.stiffness, assemble_mass(mesh, mu)
+    alone = solve_pencil(M, k=1)
+    block = solve_pencil(M, k=8)
     assert alone.eigenvalues.shape == (1,)
     assert abs(alone.lambda1 - block.lambda1) <= 1e-12 * block.lambda1
     # the smaller Krylov space of a k = 1 solve keeps zero-mass rows harmonic
@@ -112,14 +110,13 @@ def test_solve_leaves_no_reference_cycles(sphere2):
     # when the solve returns; held in a cycle it waits for the cyclic
     # collector, which raised a run's peak memory by 2 MB a maximize call on
     # icosphere 4
-    K = assemble_stiffness(sphere2)
     M = assemble_mass(sphere2, uniform_density(sphere2))
-    solve_pencil(K, M, k=1)
+    solve_pencil(M, k=1)
     gc.collect()
     gc.disable()
     try:
-        solve_pencil(K, M, k=1)
-        solve_pencil(K, M, k=8)
+        solve_pencil(M, k=1)
+        solve_pencil(M, k=8)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         cyclic = [o for o in gc.garbage if isinstance(o, LinearOperator)
@@ -138,10 +135,10 @@ def test_determinism(sphere2):
     assert np.array_equal(res1.eigenvectors, res2.eigenvectors)
 
 
-def test_one_factorization_per_stiffness_matrix(sphere2, monkeypatch):
-    # the stiffness does not depend on the density: three densities on one K
-    # share its single factor, and each solve runs two ARPACK passes on it,
-    # none of which factors a shifted matrix of its own
+def test_one_factorization_per_stiffness_matrix(monkeypatch):
+    # the stiffness does not depend on the density: three densities on one
+    # mesh share the single factor of its K, and each solve runs two ARPACK
+    # passes on it, none of which factors a shifted matrix of its own
     calls = {"cholesky_banded": 0, "eigsh": []}
     cholesky_banded, eigsh = confmax.fem.cholesky_banded, confmax.eigen.eigsh
 
@@ -154,10 +151,10 @@ def test_one_factorization_per_stiffness_matrix(sphere2, monkeypatch):
         return eigsh(*args, **kwargs)
     monkeypatch.setattr(confmax.fem, "cholesky_banded", counting_cholesky)
     monkeypatch.setattr(confmax.eigen, "eigsh", counting_eigsh)
-    K = assemble_stiffness(sphere2)
-    for mu in (uniform_density(sphere2), random_density(sphere2, 0),
-               vanishing_density(sphere2, [0])):
-        solve_pencil(K, assemble_mass(sphere2, mu), k=8)
+    mesh = gen_icosphere(2)  # fresh: a session mesh may hold its factor already
+    for mu in (uniform_density(mesh), random_density(mesh, 0),
+               vanishing_density(mesh, [0])):
+        solve_pencil(assemble_mass(mesh, mu), k=8)
     assert calls == {"cholesky_banded": 1, "eigsh": [False] * 6}
 
 
@@ -176,8 +173,7 @@ def _count_applications(monkeypatch):
 @pytest.mark.parametrize("k", [1, 8])
 def test_result_counts_operator_applications(k, sphere3, monkeypatch):
     count = _count_applications(monkeypatch)
-    K = assemble_stiffness(sphere3)
-    res = solve_pencil(K, assemble_mass(sphere3, random_density(sphere3, 0)), k=k)
+    res = solve_pencil(assemble_mass(sphere3, random_density(sphere3, 0)), k=k)
     assert res.applications == count[0] > 0
 
 
@@ -196,7 +192,7 @@ def test_lambda1_work_guard(mesh, density, bound, request, monkeypatch):
     # the line-search trials of a tilted icosphere 3)
     mesh = request.getfixturevalue(mesh)
     count = _count_applications(monkeypatch)
-    solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh, density(mesh)), k=1)
+    solve_pencil(assemble_mass(mesh, density(mesh)), k=1)
     assert 0 < count[0] <= bound
 
 
@@ -208,8 +204,7 @@ def test_lanczos_work_is_mesh_independent(k, sphere4, monkeypatch):
     applications = []
     for mesh in (sphere4, gen_icosphere(5)):
         count[0] = 0
-        solve_pencil(assemble_stiffness(mesh),
-                     assemble_mass(mesh, random_density(mesh, 0)), k=k)
+        solve_pencil(assemble_mass(mesh, random_density(mesh, 0)), k=k)
         applications.append(count[0])
     assert applications[0] > 0
     assert applications[1] <= 1.5 * applications[0]
@@ -217,13 +212,12 @@ def test_lanczos_work_is_mesh_independent(k, sphere4, monkeypatch):
 
 @pytest.mark.parametrize("k", [8, 1])
 def test_density_scale_changes_neither_spectrum_nor_work(k, sphere3, monkeypatch):
-    K = assemble_stiffness(sphere3)
     mu = random_density(sphere3, 0).values
     count = _count_applications(monkeypatch)
-    unit = solve_pencil(K, assemble_mass(sphere3, mu), k=k)
+    unit = solve_pencil(assemble_mass(sphere3, mu), k=k)
     unit_count = count[0]
     count[0] = 0
-    heavy = solve_pencil(K, assemble_mass(sphere3, 1000.0 * mu), k=k)
+    heavy = solve_pencil(assemble_mass(sphere3, 1000.0 * mu), k=k)
     assert np.abs(heavy.eigenvalues * 1e3 - unit.eigenvalues).max() \
         <= 1e-12 * unit.eigenvalues.max()
     assert unit_count > 0
@@ -254,8 +248,8 @@ def test_grounded_factor_matches_shift_invert(sphere2, density):
     mu = {"uniform": uniform_density(sphere2).values,
           "random": random_density(sphere2, 1).values,
           "vanishing": vanishing_density(sphere2, [0])}[density]
-    K, M = assemble_stiffness(sphere2), assemble_mass(sphere2, mu)
-    res = solve_pencil(K, M, k=8)
+    K, M = sphere2.stiffness, assemble_mass(sphere2, mu)
+    res = solve_pencil(M, k=8)
     lam, vec = _shift_invert_reference(K.matrix, M.matrix, 8)
     assert np.abs(res.eigenvalues - lam).max() <= 1e-13 * lam.max()
 
@@ -274,8 +268,8 @@ def test_standard_operator_lifts_to_the_projected_inverse(sphere2, density, monk
     # mode, with no mass matrix and no operator of its own
     mu = {"uniform": uniform_density(sphere2).values,
           "vanishing": vanishing_density(sphere2, [0])}[density]
-    K, M = assemble_stiffness(sphere2), assemble_mass(sphere2, mu)
-    S, lift, _ = confmax.eigen._standard_operator(K, M)
+    K, M = sphere2.stiffness, assemble_mass(sphere2, mu)
+    S, lift, _ = confmax.eigen._standard_operator(M)
     x, y = np.random.default_rng(0).standard_normal((2, sphere2.vertex_count))
     Sx, Sy = S.matvec(x), S.matvec(y)
     assert abs(x @ Sy - y @ Sx) <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(Sy)
@@ -296,44 +290,42 @@ def test_standard_operator_lifts_to_the_projected_inverse(sphere2, density, monk
         passes.append({"M", "OPinv"} & kwargs.keys())
         return eigsh(*args, **kwargs)
     monkeypatch.setattr(confmax.eigen, "eigsh", recording)
-    solve_pencil(K, M, k=4)
+    solve_pencil(M, k=4)
     assert passes == [set(), set()]
 
 
 def test_k_beyond_the_spectrum_is_an_input_error():
     mesh = gen_icosphere(0)  # V = 12: eleven nonzero eigenvalues
-    K, M = assemble_stiffness(mesh), assemble_mass(mesh, uniform_density(mesh))
-    assert solve_pencil(K, M, k=11).eigenvalues.shape == (11,)
+    M = assemble_mass(mesh, uniform_density(mesh))
+    assert solve_pencil(M, k=11).eigenvalues.shape == (11,)
     with pytest.raises(ValueError, match="k must be between 1 and 11"):
-        solve_pencil(K, M, k=12)
+        solve_pencil(M, k=12)
 
 
 def test_sphere_clusters_hold_over_seeds(sphere3):
     # whatever the start vectors, the solve resolves the 3-fold and the
     # 5-fold cluster in full; a Krylov space one pair too small has missed
     # one copy of the 5-fold one
-    K = assemble_stiffness(sphere3)
     M = assemble_mass(sphere3, uniform_density(sphere3))
     for seed in range(10):
-        res = solve_pencil(K, M, k=9, seed=seed)
+        res = solve_pencil(M, k=9, seed=seed)
         assert tuple(map(len, res.clusters)) == (3, 5, 1), seed
 
 
-def test_factorization_failure_is_eigen_error(sphere2, monkeypatch):
+def test_factorization_failure_is_eigen_error(monkeypatch):
     def indefinite(*args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
     monkeypatch.setattr(confmax.fem, "cholesky_banded", indefinite)
     with pytest.raises(EigenError, match="pencil solve failed: not positive definite"):
-        _solve_uniform(sphere2, 2)
+        _solve_uniform(gen_icosphere(2), 2)  # fresh: its factor is not built yet
 
 
 def test_indefinite_mass_refused(sphere2):
     mu = uniform_density(sphere2).values.copy()
     mu -= 2.0 * mu.max()  # mostly negative: mass matrix indefinite
     M = assemble_mass(sphere2, mu)
-    K = assemble_stiffness(sphere2)
     with pytest.raises(IndefiniteMassError, match="indefinite mass"):
-        solve_pencil(K, M, k=2)
+        solve_pencil(M, k=2)
 
 
 def test_signed_density_with_psd_blocks_needs_no_inertia_solve(sphere2, monkeypatch):
@@ -354,7 +346,7 @@ def test_signed_density_with_psd_blocks_needs_no_inertia_solve(sphere2, monkeypa
         runs.append(kwargs.get("which"))
         return eigsh(*args, **kwargs)
     monkeypatch.setattr(confmax.eigen, "eigsh", counting)
-    res = solve_pencil(assemble_stiffness(sphere2), M, k=2)
+    res = solve_pencil(M, k=2)
     assert runs == ["LA", "LA"]
     assert np.all(res.eigenvalues > 0)
 
@@ -367,7 +359,7 @@ def test_indefinite_blocks_fall_back_to_global_check(sphere2):
     M = assemble_mass(sphere2, mu)
     assert not M.nonnegative
     assert np.linalg.eigvalsh(M.matrix.toarray())[0] > 0
-    res = solve_pencil(assemble_stiffness(sphere2), M, k=2)
+    res = solve_pencil(M, k=2)
     assert np.all(res.eigenvalues > 0)
 
 
@@ -384,7 +376,6 @@ def _signed_density(mesh, seed):
 def test_sign_test_agrees_with_dense_inertia(mesh, seeds, request):
     mesh = (gen_flat_torus(SQUARE, 12, 12) if mesh == "torus12"
             else request.getfixturevalue(mesh))
-    K = assemble_stiffness(mesh)
     refused = []
     for seed in range(seeds):
         M = assemble_mass(mesh, _signed_density(mesh, seed))
@@ -392,7 +383,7 @@ def test_sign_test_agrees_with_dense_inertia(mesh, seeds, request):
         indefinite = (scipy.linalg.eigvalsh(A, subset_by_index=[0, 0])[0]
                       < -1e-12 * np.abs(A.diagonal()).max())
         try:
-            confmax.eigen._standard_operator(K, M)
+            confmax.eigen._standard_operator(M)
             refused.append(False)
         except IndefiniteMassError:
             refused.append(True)
@@ -410,21 +401,11 @@ def test_sign_test_reads_the_vertex_0_border(sphere2, mu0, indefinite):
     A = M.matrix.toarray()
     assert np.linalg.eigvalsh(A[1:, 1:])[0] > 0
     assert (np.linalg.eigvalsh(A)[0] < 0) == indefinite
-    K = assemble_stiffness(sphere2)
     if indefinite:
         with pytest.raises(IndefiniteMassError, match="indefinite mass"):
-            solve_pencil(K, M, k=2)
+            solve_pencil(M, k=2)
     else:
-        assert np.all(solve_pencil(K, M, k=2).eigenvalues > 0)
-
-
-def test_mass_of_another_mesh_refused():
-    # V = 42 for both meshes: only the sparsity patterns tell them apart
-    sphere, torus = gen_icosphere(1), gen_flat_torus(SQUARE, 6, 7)
-    assert sphere.vertex_count == torus.vertex_count
-    with pytest.raises(ValueError, match="not on one mesh's pattern"):
-        solve_pencil(assemble_stiffness(sphere), assemble_mass(torus, uniform_density(torus)),
-                     k=3)
+        assert np.all(solve_pencil(M, k=2).eigenvalues > 0)
 
 
 @pytest.mark.parametrize("mesh, zero", [
@@ -437,11 +418,11 @@ def test_zero_mass_rows_solve_the_whole_pencil(mesh, zero, request):
     # with the eigenvalues of the Schur complement that eliminates those rows
     mesh = request.getfixturevalue(mesh)
     zero = zero(mesh)
-    K = assemble_stiffness(mesh)
+    K = mesh.stiffness
     M = assemble_mass(mesh, vanishing_density(mesh, zero))
     massless = np.flatnonzero(np.abs(M.matrix).sum(axis=1) == 0)
     assert np.array_equal(massless, np.sort(zero))
-    res = solve_pencil(K, M, k=4)
+    res = solve_pencil(M, k=4)
 
     Kd, Md = K.matrix.toarray(), M.matrix.toarray()
     s = np.setdiff1d(np.arange(mesh.vertex_count), massless)
@@ -459,13 +440,13 @@ def test_zero_mass_rows_solve_the_whole_pencil(mesh, zero, request):
 def test_zero_mass_rows_need_no_quadratic_memory(sphere4):
     # a solve with zero-mass rows keeps to the uniform solve's memory: nothing
     # of size (zero-mass rows) x (mesh) is formed
-    K = assemble_stiffness(sphere4)
+    sphere4.stiffness.grounded_factor  # built before, not inside, the measured solves
     peaks = []
     for mu in (uniform_density(sphere4).values,
                vanishing_density(sphere4, polar_cap(sphere4))):
         M = assemble_mass(sphere4, mu)
         tracemalloc.start()
-        solve_pencil(K, M, k=8)
+        solve_pencil(M, k=8)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] <= 2 * peaks[0]

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from confmax.eigen import solve_pencil
-from confmax.fem import (assemble_mass, assemble_stiffness, random_density,
-                         uniform_density)
+from confmax.fem import assemble_mass, random_density, uniform_density
 from confmax.frame import (MAX_ITERS, FrameError, SphereFrame, _moments,
                            _objective, _quadrature, harmonic_residual,
                            recover_density, select_frame)
@@ -16,9 +15,8 @@ from conftest import EQUILATERAL, SQUARE, tilted_density
 
 
 def _first_cluster(mesh, k=9, seed=0, rel_gap=0.02):
-    K = assemble_stiffness(mesh)
     mu = uniform_density(mesh)
-    res = solve_pencil(K, assemble_mass(mesh, mu), k=k, seed=seed, rel_gap=rel_gap)
+    res = solve_pencil(assemble_mass(mesh, mu), k=k, seed=seed, rel_gap=rel_gap)
     return res, mu
 
 
@@ -141,8 +139,8 @@ def test_stop_reason_stagnated():
     # T^+ G has a negative eigenvalue and no PSD Q fits the four, so the loop
     # ends on the stagnation stop, at the minimizer
     mesh = gen_flat_torus(SQUARE, 12, 12)
-    K, M = assemble_stiffness(mesh), assemble_mass(mesh, random_density(mesh, 1))
-    basis = solve_pencil(K, M, k=8).eigenvectors[:, [2, 4, 6, 7]]
+    M = assemble_mass(mesh, random_density(mesh, 1))
+    basis = solve_pencil(M, k=8).eigenvectors[:, [2, 4, 6, 7]]
     frame = select_frame(basis, mesh)
     assert frame.stop_reason == "stagnated"
     reference = _objective(*_quadrature(basis, mesh), _long_run_frame_q(basis, mesh))
@@ -154,8 +152,8 @@ def test_ill_conditioned_torus_cluster_converges():
     # cond(T) ~ 3e5 on symmetric matrices, where a start at I/m ran into the
     # step cap at f = 1.30781e-4
     mesh = gen_flat_torus(EQUILATERAL, 48, 48)
-    K, M = assemble_stiffness(mesh), assemble_mass(mesh, random_density(mesh, 7))
-    basis = solve_pencil(K, M, k=8).cluster_basis(0)
+    M = assemble_mass(mesh, random_density(mesh, 7))
+    basis = solve_pencil(M, k=8).cluster_basis(0)
     assert basis.shape[1] == 6
     frame = select_frame(basis, mesh)
     assert frame.stop_reason == "converged" and frame.iterations < MAX_ITERS
@@ -275,7 +273,7 @@ def test_frame_mass_constraint():
     for case, (make_mesh, make_mu, k, rel_gap) in MASS_CASES.items():
         mesh = make_mesh()
         M = assemble_mass(mesh, make_mu(mesh))
-        res = solve_pencil(assemble_stiffness(mesh), M, k=k, rel_gap=rel_gap)
+        res = solve_pencil(M, k=k, rel_gap=rel_gap)
         frame = select_frame(res.cluster_basis(0), mesh)
         mass_w = sum(frame.U[:, i] @ (M.matrix @ frame.U[:, i]) for i in range(frame.ell))
         assert abs(mass_w - np.trace(frame.Q)) <= 1e-12, case
@@ -286,7 +284,7 @@ def _identity_frame(mesh):
     # the identity map of the embedded round sphere, as a hand-built frame
     U = mesh.embedding / np.linalg.norm(mesh.embedding, axis=1)[:, None]
     w = np.einsum("vi,vi->v", U, U)
-    return SphereFrame(ell=3, U=U, Q=np.eye(3), w=w, objective=0.0, attained=True)
+    return SphereFrame(mesh=mesh, ell=3, U=U, Q=np.eye(3), w=w, objective=0.0, attained=True)
 
 
 def test_identity_map_is_harmonic():
@@ -294,7 +292,7 @@ def test_identity_map_is_harmonic():
     for s in (4, 5):
         mesh = gen_icosphere(s)
         frame = _identity_frame(mesh)
-        r = harmonic_residual(mesh, frame, assemble_stiffness(mesh))
+        r = harmonic_residual(frame)
         residuals.append(r)
     assert residuals[0] < 5e-2
     assert residuals[1] < residuals[0]
@@ -307,35 +305,35 @@ def test_twisted_map_not_harmonic(sphere4):
     U = np.stack([np.cos(a) * X[:, 0] - np.sin(a) * X[:, 1],
                   np.sin(a) * X[:, 0] + np.cos(a) * X[:, 1],
                   X[:, 2]], axis=1)
-    frame = SphereFrame(3, U, np.eye(3), np.einsum("vi,vi->v", U, U), 0.0, True)
-    r = harmonic_residual(sphere4, frame, assemble_stiffness(sphere4))
+    frame = SphereFrame(sphere4, 3, U, np.eye(3), np.einsum("vi,vi->v", U, U), 0.0, True)
+    r = harmonic_residual(frame)
     assert r > 0.3
 
 
 def test_harmonic_residual_rotation_invariant(sphere3):
     res, _ = _first_cluster(sphere3)
     frame = select_frame(res.cluster_basis(0), sphere3)
-    r1 = harmonic_residual(sphere3, frame, assemble_stiffness(sphere3))
+    r1 = harmonic_residual(frame)
     rng = np.random.default_rng(11)
     R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    rotated = SphereFrame(frame.ell, frame.U @ R, frame.Q, frame.w,
+    rotated = SphereFrame(sphere3, frame.ell, frame.U @ R, frame.Q, frame.w,
                           frame.objective, frame.attained)
-    r2 = harmonic_residual(sphere3, rotated, assemble_stiffness(sphere3))
+    r2 = harmonic_residual(rotated)
     assert abs(r1 - r2) < 1e-10
 
 
 def test_degenerate_map_rejected(sphere2):
     U = np.zeros((sphere2.vertex_count, 1))
     U[0, 0] = 1.0
-    frame = SphereFrame(1, U, np.eye(1), U[:, 0] ** 2, 1.0, False)
+    frame = SphereFrame(sphere2, 1, U, np.eye(1), U[:, 0] ** 2, 1.0, False)
     with pytest.raises(FrameError, match="degenerate"):
-        harmonic_residual(sphere2, frame, assemble_stiffness(sphere2))
+        harmonic_residual(frame)
 
 
 def test_recover_density_sphere(sphere4):
     res, mu = _first_cluster(sphere4)
     frame = select_frame(res.cluster_basis(0), sphere4)
-    nu = recover_density(sphere4, frame)
+    nu = recover_density(frame)
     l1 = sphere4.vertex_areas @ np.abs(nu.values - mu.values)
     assert l1 < 2e-2
 
@@ -345,7 +343,7 @@ def test_recover_density_single_eigenfunction(sphere3):
     basis = res.cluster_basis(0)[:, :1]
     with pytest.warns(RuntimeWarning):
         frame = select_frame(basis, sphere3)
-    nu = recover_density(sphere3, frame)
+    nu = recover_density(frame)
     l1 = sphere3.vertex_areas @ np.abs(nu.values - mu.values)
     assert l1 > 0.1  # |grad z|^2 = 1 - z^2 is far from constant
 

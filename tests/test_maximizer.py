@@ -11,9 +11,9 @@ import confmax.certify
 import confmax.fem
 import confmax.frame
 import confmax.maximizer
-from confmax.bench import saturation_check
-from confmax.fem import (DensityError, DensityField, assemble_mass, assemble_stiffness,
-                         random_density, uniform_density)
+from confmax.bench import fixed_point_check, saturation_check
+from confmax.fem import (DensityError, DensityField, assemble_mass, random_density,
+                         uniform_density)
 from confmax.frame import recover_density
 from confmax.maximizer import (AscentConfig, ProjectionError, ascent_step,
                                detect_collapse, make_initial_density, maximize,
@@ -108,7 +108,7 @@ def test_uniform_sphere_is_fixed_point(sphere3):
     cfg = AscentConfig()
     cap = cfg.n_schedule[0] / sphere3.area
     mu = project_density(sphere3, uniform_density(sphere3).values, 0.0, cap)
-    mu_next, _, _, info = ascent_step(mu, cfg, assemble_stiffness(sphere3))
+    mu_next, _, _, info = ascent_step(mu, cfg)
     move = sphere3.vertex_areas @ np.abs(mu_next.values - mu.values)
     assert move < 1e-6
 
@@ -117,18 +117,17 @@ def test_uniform_sphere_is_fixed_point(sphere3):
 def test_ascent_step_reports_capped_trials(sphere3):
     loose = project_density(sphere3, uniform_density(sphere3).values, 0.0,
                             4.0 / sphere3.area)
-    K = assemble_stiffness(sphere3)
-    assert not ascent_step(loose, AscentConfig(), K)[3]["capped"]
+    assert not ascent_step(loose, AscentConfig())[3]["capped"]
     tight = project_density(sphere3, tilted_density(sphere3, 43000).values, 0.0,
                             1.1 / sphere3.area)
-    assert ascent_step(tight, AscentConfig(seed=43000), K)[3]["capped"]
+    assert ascent_step(tight, AscentConfig(seed=43000))[3]["capped"]
 
 
 def test_ascent_step_monotone(sphere3):
     cfg = AscentConfig(seed=1)
     cap = 4.0 / sphere3.area
     mu = project_density(sphere3, random_density(sphere3, 7).values, 0.0, cap)
-    _, spectral, _, info = ascent_step(mu, cfg, assemble_stiffness(sphere3))
+    _, spectral, _, info = ascent_step(mu, cfg)
     assert info["lambda_next"] >= spectral.lambda1 * (1.0 - 1e-12)
 
 
@@ -140,17 +139,17 @@ def test_vanishing_region_is_not_absorbing(sphere3):
     mu = project_density(sphere3, vanishing_density(sphere3, cap), 0.0,
                          AscentConfig().n_schedule[0] / sphere3.area)
     assert cap.size == 61
-    _, _, frame, _ = ascent_step(mu, AscentConfig(), assemble_stiffness(sphere3))
-    assert recover_density(sphere3, frame).values[cap].min() > 0.0
+    _, _, frame, _ = ascent_step(mu, AscentConfig())
+    assert recover_density(frame).values[cap].min() > 0.0
 
 
 def _record_k(monkeypatch):
     asked = []
     solve = confmax.maximizer.solve_pencil
 
-    def recording(K, M, k, **kwargs):
+    def recording(M, k, **kwargs):
         asked.append(k)
-        return solve(K, M, k, **kwargs)
+        return solve(M, k, **kwargs)
     monkeypatch.setattr(confmax.maximizer, "solve_pencil", recording)
     return asked
 
@@ -161,7 +160,7 @@ def test_trials_solve_for_lambda1_alone(sphere3, monkeypatch):
     cfg = AscentConfig(seed=1)
     mu = project_density(sphere3, random_density(sphere3, 7).values, 0.0,
                          4.0 / sphere3.area)
-    _, spectral, _, info = ascent_step(mu, cfg, assemble_stiffness(sphere3))
+    _, spectral, _, info = ascent_step(mu, cfg)
     assert info["trials"] == 3  # t = 1/2 and 1/4 rejected, t = 1/8 accepted
     assert asked == [cfg.k_eigen, 1, 1, 1]
     assert len(spectral.eigenvalues) == cfg.k_eigen
@@ -194,17 +193,17 @@ def test_lambda1_trials_agree_with_leading_block_at_a_tie(monkeypatch):
     trials = []
     solve = confmax.maximizer.solve_pencil
 
-    def recording(K, M, k, **kwargs):
-        res = solve(K, M, k, **kwargs)
+    def recording(M, k, **kwargs):
+        res = solve(M, k, **kwargs)
         if k == 1:
-            trials.append((K, M, kwargs, res.lambda1))
+            trials.append((M, kwargs, res.lambda1))
         return res
     monkeypatch.setattr(confmax.maximizer, "solve_pencil", recording)
     mesh = gen_flat_torus(EQUILATERAL, 48, 48)
     maximize(mesh, uniform_density(mesh), AscentConfig())
     assert trials
-    for K, M, kwargs, lam in trials:
-        block = solve(K, M, 8, **kwargs).lambda1
+    for M, kwargs, lam in trials:
+        block = solve(M, 8, **kwargs).lambda1
         assert abs(lam - block) <= 1e-12 * block
 
 
@@ -278,8 +277,10 @@ def test_maximize_sphere_reaches_round_value(sphere3):
             assert b.lambda1_area >= a.lambda1_area * (1.0 - 1e-12)
 
 
-def test_maximize_factors_the_stiffness_once(sphere2, monkeypatch):
-    # every solve of a run, line-search trials included, shares one factor
+def test_maximize_factors_the_stiffness_once(monkeypatch):
+    # every solve of a run, line-search trials included, shares one factor,
+    # and so do later runs and checks on the mesh, which holds it
+    mesh = gen_icosphere(2)  # fresh: a session mesh may hold its factor already
     calls = [0]
     cholesky_banded = confmax.fem.cholesky_banded
 
@@ -287,8 +288,10 @@ def test_maximize_factors_the_stiffness_once(sphere2, monkeypatch):
         calls[0] += 1
         return cholesky_banded(*args, **kwargs)
     monkeypatch.setattr(confmax.fem, "cholesky_banded", counting)
-    trace = maximize(sphere2, "random:0", AscentConfig())[3]
+    trace = maximize(mesh, "random:0", AscentConfig())[3]
     assert len(trace.rows) > 1
+    maximize(mesh, "uniform", AscentConfig())
+    assert fixed_point_check(mesh, "sphere").passed
     assert calls[0] == 1
 
 
@@ -482,8 +485,8 @@ def test_trace_rows_count_operator_applications(sphere2, monkeypatch):
     solves = []
     solve = confmax.maximizer.solve_pencil
 
-    def recording(K, M, k, **kwargs):
-        res = solve(K, M, k, **kwargs)
+    def recording(M, k, **kwargs):
+        res = solve(M, k, **kwargs)
         solves.append((k, res.applications))
         return res
     monkeypatch.setattr(confmax.maximizer, "solve_pencil", recording)

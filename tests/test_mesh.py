@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from confmax.eigen import solve_pencil
-from confmax.fem import assemble_mass, assemble_stiffness, uniform_density
+from confmax.fem import assemble_mass, uniform_density
 from confmax.mesh import (_ICO_FACES, _ICO_VERTS, SURFACES, MeshError, TriangleMesh,
                           gen_flat_torus, gen_icosphere, load_mesh, mesh_from_spec, mesh_stats,
                           save_intrinsic_json)
@@ -106,14 +106,16 @@ def test_triangle_inequality_rejected(tmp_path):
         load_mesh(p)
 
 
-def test_off_icosahedron_roundtrip(tmp_path):
-    m = gen_icosphere(0)
+def _write_off(m, path):
     lines = ["OFF", f"{m.vertex_count} {len(m.triangles)} 0"]
     lines += [" ".join(map(str, v)) for v in m.embedding]
     lines += ["3 " + " ".join(map(str, t)) for t in m.triangles]
-    p = tmp_path / "ico.off"
-    p.write_text("\n".join(lines))
-    loaded = load_mesh(p)
+    path.write_text("\n".join(lines))
+    return path
+
+
+def test_off_icosahedron_roundtrip(tmp_path):
+    loaded = load_mesh(_write_off(gen_icosphere(0), tmp_path / "ico.off"))
     assert loaded.vertex_count == 12
     assert len(loaded.triangles) == 20
     assert loaded.genus == 0
@@ -334,6 +336,7 @@ _LENGTH_CASES = {
        for name, basis in (("square", SQUARE), ("equilateral", EQUILATERAL)) for n in (8, 16)},
     "equilateral-8x12": lambda tmp: gen_flat_torus(EQUILATERAL, 8, 12),
     "obj-donut": lambda tmp: _load_donut(tmp / "donut.obj"),
+    "off-icosphere-2": lambda tmp: load_mesh(_write_off(gen_icosphere(2), tmp / "ico.off")),
     "json-doubled": lambda tmp: _doubled_rows_json(tmp / "a.json", perturbed_first=False),
     "json-doubled-perturbed-first":
         lambda tmp: _doubled_rows_json(tmp / "b.json", perturbed_first=True),
@@ -356,6 +359,8 @@ def test_edge_lengths_are_the_least_given(monkeypatch, tmp_path, case):
     assert want.tobytes() == m.edge_lengths.tobytes()
     if case.startswith("json"):
         assert np.array_equal(m.edge_lengths, gen_icosphere(1).edge_lengths)
+    else:  # generators and embeddings measure each edge once, not once per corner pair
+        assert np.shape(given[-1]) == (len(m.edges), 3)
 
 
 @pytest.mark.parametrize("fixture", ["sphere2", "eq_torus16"])
@@ -439,6 +444,6 @@ def test_spec_builds_the_generators_mesh(kind):
 @pytest.mark.parametrize("kind", list(SURFACES))
 def test_uniform_lambda1_matches_the_closed_form(kind):
     mesh = mesh_from_spec(f"{kind}:{_ROWS[kind][2]}")
-    res = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh, uniform_density(mesh)), k=1)
+    res = solve_pencil(assemble_mass(mesh, uniform_density(mesh)), k=1)
     target = SURFACES[kind].lambda1_area
     assert abs(res.lambda1 - target) <= 0.01 * target

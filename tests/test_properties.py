@@ -71,9 +71,8 @@ def test_solver_deflates_constants(seed):
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0.5, 1.5, _MESH.vertex_count)
     mu /= _MESH.vertex_areas @ mu
-    K = assemble_stiffness(_MESH)
     M = assemble_mass(_MESH, mu)
-    res = solve_pencil(K, M, k=4, seed=seed)
+    res = solve_pencil(M, k=4, seed=seed)
     # no zero eigenvalue leaks through, and every mode is M-orthogonal to 1
     assert res.eigenvalues.min() > 1e-6
     ones = np.ones(_MESH.vertex_count)
