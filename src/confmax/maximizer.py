@@ -1,14 +1,16 @@
 """Box-and-simplex ascent over conformal densities with continuation in N.
 
 The update is the damped fixed point of the extremality identity
-mu = sum |grad u_i|^2 / lambda, safeguarded so the accepted iterates never
-decrease the normalized eigenvalue (beyond the tolerance).
+mu = sum |grad u_i|^2 / lambda, Anderson-accelerated over the stage's last
+iterates and safeguarded so the accepted iterates never decrease the
+normalized eigenvalue (beyond the tolerance).
 """
 from __future__ import annotations
 
 import re
 import time
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -28,6 +30,7 @@ _SLAB = 2 ** 18  # entries in one block's (sources, V) float64 distance slab: 2 
 # jitter the safeguard cannot tell from standing still
 SAFEGUARD_SLACK = 1e-12
 DAMPING = 0.5  # the first line-search trial's step; each later trial halves it
+ANDERSON_MEMORY = 2  # earlier iterates of a stage mixed with the current one
 
 
 class ProjectionError(RuntimeError):
@@ -85,9 +88,10 @@ class TraceRow:
     frame_obj: float
     frame_steps: int   # select_frame steps at this iterate
     frame_stop: str    # select_frame stop reason at this iterate
-    trials: int        # line-search pencil solves at this iterate
+    trials: int        # line-search pencil solves at this iterate, the mixed trial included
     applications: int  # Lanczos operator applications of the iterate's solve and its trials
     wall_ms: float
+    mixed: bool        # the accepted step is the Anderson candidate
 
 
 @dataclass
@@ -139,18 +143,44 @@ def _solve(density, config, k):
                         rel_gap=config.rel_gap, seed=config.seed)
 
 
-def ascent_step(mu_k, config):
-    """One damped fixed-point step with the eigenvalue-ascent safeguard.
+def _anderson_mix(pairs, weights):
+    """Type-II Anderson mix of (iterate, image) pairs of a fixed-point map, oldest first.
 
-    The step runs on the density's mesh, with its stiffness. Returns
-    (mu_next, spectral_at_mu_k, frame_at_mu_k, info). info records the
-    accepted step size (0.0 when every trial decreased lambda and the iterate
-    was kept), the eigenvalue at the accepted density, the number of
-    line-search trials, "applications": the Lanczos operator applications of
-    the solve at mu_k and of the trials, and "capped": whether any trial
-    candidate reached the cap. The first trial steps DAMPING of the way to
-    the recovered density, each later one half as far as the one before. The
-    solve at mu_k asks for config.k_eigen eigenpairs; each trial asks for
+    With residuals f_j = g_j - x_j and dF, dG the differences of consecutive
+    residuals and images, gamma minimizes |weights * (f_k - dF gamma)| and the
+    mix is g_k - dG gamma (Walker and Ni 2011). On an affine map whose last
+    residual lies in the span of dF, the mix is the fixed point.
+    """
+    x, g = (np.array(side) for side in zip(*pairs))
+    f = g - x
+    gamma = np.linalg.lstsq(weights[:, None] * np.diff(f, axis=0).T,
+                            weights * f[-1], rcond=None)[0]
+    return g[-1] - np.diff(g, axis=0).T @ gamma
+
+
+def ascent_step(mu_k, config, history):
+    """One damped fixed-point step, Anderson-mixed, with the eigenvalue-ascent safeguard.
+
+    The step runs on the density's mesh, with its stiffness. The map is
+    G(mu) = (1 - DAMPING) mu + DAMPING nu, nu the recovered density, taken
+    before projection. history holds the stage's earlier (iterate, image)
+    pairs of G, oldest first and at most ANDERSON_MEMORY of them. When it is
+    full, the first trial is their Anderson mix with mu_k's pair (residuals
+    weighted by sqrt(vertex area)), projected into the box; if the safeguard
+    rejects it, the history empties. Otherwise, or after a rejected mix, the
+    plain line search runs: its first trial steps DAMPING of the way to nu,
+    each later one half as far as the one before. So a stage's first
+    ANDERSON_MEMORY steps are plain, and so are the ANDERSON_MEMORY steps
+    after a rejected mix.
+
+    Returns (mu_next, spectral_at_mu_k, frame_at_mu_k, info). info records the
+    accepted step size (DAMPING for the mixed candidate, 0.0 when every trial
+    decreased lambda and the iterate was kept), "mixed": whether the mixed
+    candidate was accepted, the eigenvalue at the accepted density, the
+    number of trials, "applications": the Lanczos operator applications of
+    the solve at mu_k and of the trials, "capped": whether any trial
+    candidate reached the cap, and "history": the pairs for the next step.
+    The solve at mu_k asks for config.k_eigen eigenpairs; each trial asks for
     lambda_1 alone, the only value the safeguard compares.
     """
     mesh, floor, cap = mu_k.mesh, mu_k.floor, mu_k.cap
@@ -158,29 +188,33 @@ def ascent_step(mu_k, config):
     frame = select_frame(spectral.cluster_basis(0), mesh)
     lam_k = spectral.lambda1
     nu = recover_density(frame)
+    pairs = history + ((mu_k.values, (1.0 - DAMPING) * mu_k.values + DAMPING * nu.values),)
 
     # accept only non-decreasing moves (tiny slack for eigensolver jitter);
     # anything looser breaks both the monotone-trace invariant and the exact
     # fixed-point behaviour at symmetric optima
     tol_abs = SAFEGUARD_SLACK * lam_k
-    t = DAMPING
-    accepted = (lam_k, mu_k, 0.0)  # kept when every trial decreases lambda
+    accepted = (lam_k, mu_k, 0.0, False)  # kept when every trial decreases lambda
     capped = False
     applications = spectral.applications
-    for trials in range(1, 8):  # initial step plus six halvings
-        cand = project_density(mesh, (1.0 - t) * mu_k.values + t * nu.values,
-                               floor, cap)
+    mix = ([(_anderson_mix(pairs, np.sqrt(mesh.vertex_areas)), DAMPING, True)]
+           if len(history) == ANDERSON_MEMORY else [])
+    # the initial plain step plus six halvings
+    plain = (((1.0 - t) * mu_k.values + t * nu.values, t, False)
+             for t in (DAMPING * 0.5 ** i for i in range(7)))
+    for trials, (values, t, is_mix) in enumerate(chain(mix, plain), start=1):
+        cand = project_density(mesh, values, floor, cap)
         capped = capped or bool(cand.values.max() >= cap)
         trial = _solve(cand, config, 1)
         applications += trial.applications
         lam_c = trial.lambda1
         if lam_c >= lam_k - tol_abs:
-            accepted = (lam_c, cand, t)
+            accepted = (lam_c, cand, t, is_mix)
             break
-        t *= 0.5
-    lam_next, mu_next, t_used = accepted
-    info = {"step": t_used, "lambda_next": lam_next, "trials": trials,
-            "applications": applications, "capped": capped}
+    lam_next, mu_next, t_used, mixed = accepted
+    info = {"step": t_used, "mixed": mixed, "lambda_next": lam_next,
+            "trials": trials, "applications": applications, "capped": capped,
+            "history": () if mix and not mixed else pairs[-ANDERSON_MEMORY:]}
     return mu_next, spectral, frame, info
 
 
@@ -281,9 +315,11 @@ def maximize(mesh, mu0, config=AscentConfig()):
         if settled:
             trace.skipped_stages.append(n_rel)
         converged = settled
+        history = ()  # each stage starts with a plain step
         for _ in range(0 if settled else config.max_iters):
             t0 = time.perf_counter()
-            mu_next, spectral, frame, info = ascent_step(mu, config)
+            mu_next, spectral, frame, info = ascent_step(mu, config, history)
+            history = info["history"]
             wall = (time.perf_counter() - t0) * 1e3
             trace.rows.append(TraceRow(
                 iter=len(trace.rows), N=n_rel,
@@ -293,7 +329,7 @@ def maximize(mesh, mu0, config=AscentConfig()):
                 step=info["step"], frame_obj=frame.objective,
                 frame_steps=frame.iterations, frame_stop=frame.stop_reason,
                 trials=info["trials"], applications=info["applications"],
-                wall_ms=wall))
+                wall_ms=wall, mixed=info["mixed"]))
             lam_change = abs(info["lambda_next"] - spectral.lambda1)  # 0 on a rejected step
             mu = mu_next
             if lam_change <= config.lam_tol * spectral.lambda1:

@@ -30,7 +30,8 @@ _CRITERIA = {
         ["stiffness conformal invariance", "mass matrix total",
          "Moebius inverse identity", "frame basis-rotation invariance",
          "deflation constraint", "sphere accepted-step monotonicity",
-         "equilateral torus accepted-step monotonicity"]),
+         "equilateral torus accepted-step monotonicity",
+         "equilateral torus ascent accepted-step monotonicity"]),
 }
 
 

@@ -145,10 +145,13 @@ def test_seed_reproducibility(tmp_path):
         main(["maximize", "--gen", "icosphere:2", "--out", str(out),
               "--n-schedule", "4", "--max-iters", "15",
               "--density", "random:9", "--seed", "9"])
-        traces.append((out / "trace.csv").read_text())
+        with open(out / "trace.csv", newline="") as fh:
+            traces.append(list(csv.DictReader(fh)))
     # identical except the wall-clock column
-    strip = lambda t: [",".join(r.split(",")[:-1]) for r in t.splitlines()]
-    assert strip(traces[0]) == strip(traces[1])
+    for rows in traces:
+        for row in rows:
+            del row["wall_ms"]
+    assert traces[0] and traces[0] == traces[1]
 
 
 def test_bad_mesh_file_reports_input_error(tmp_path, capsys):

@@ -194,7 +194,7 @@ def test_tilted_sphere_frames_stop_early():
     # each ends "converged" on its first step
     mesh = gen_icosphere(3)
     trace = maximize(mesh, tilted_density(mesh, 43000), AscentConfig(seed=43000))[3]
-    assert len(trace.rows) > 10
+    assert len(trace.rows) == 8
     assert {row.frame_stop for row in trace.rows} == {"converged"}
     assert all(row.frame_steps == 1 for row in trace.rows)
 

@@ -108,7 +108,7 @@ def test_uniform_sphere_is_fixed_point(sphere3):
     cfg = AscentConfig()
     cap = cfg.n_schedule[0] / sphere3.area
     mu = project_density(sphere3, uniform_density(sphere3).values, 0.0, cap)
-    mu_next, _, _, info = ascent_step(mu, cfg)
+    mu_next, _, _, info = ascent_step(mu, cfg, ())
     move = sphere3.vertex_areas @ np.abs(mu_next.values - mu.values)
     assert move < 1e-6
 
@@ -117,17 +117,17 @@ def test_uniform_sphere_is_fixed_point(sphere3):
 def test_ascent_step_reports_capped_trials(sphere3):
     loose = project_density(sphere3, uniform_density(sphere3).values, 0.0,
                             4.0 / sphere3.area)
-    assert not ascent_step(loose, AscentConfig())[3]["capped"]
+    assert not ascent_step(loose, AscentConfig(), ())[3]["capped"]
     tight = project_density(sphere3, tilted_density(sphere3, 43000).values, 0.0,
                             1.1 / sphere3.area)
-    assert ascent_step(tight, AscentConfig(seed=43000))[3]["capped"]
+    assert ascent_step(tight, AscentConfig(seed=43000), ())[3]["capped"]
 
 
 def test_ascent_step_monotone(sphere3):
     cfg = AscentConfig(seed=1)
     cap = 4.0 / sphere3.area
     mu = project_density(sphere3, random_density(sphere3, 7).values, 0.0, cap)
-    _, spectral, _, info = ascent_step(mu, cfg)
+    _, spectral, _, info = ascent_step(mu, cfg, ())
     assert info["lambda_next"] >= spectral.lambda1 * (1.0 - 1e-12)
 
 
@@ -139,7 +139,7 @@ def test_vanishing_region_is_not_absorbing(sphere3):
     mu = project_density(sphere3, vanishing_density(sphere3, cap), 0.0,
                          AscentConfig().n_schedule[0] / sphere3.area)
     assert cap.size == 61
-    _, _, frame, _ = ascent_step(mu, AscentConfig())
+    _, _, frame, _ = ascent_step(mu, AscentConfig(), ())
     assert recover_density(frame).values[cap].min() > 0.0
 
 
@@ -160,10 +160,58 @@ def test_trials_solve_for_lambda1_alone(sphere3, monkeypatch):
     cfg = AscentConfig(seed=1)
     mu = project_density(sphere3, random_density(sphere3, 7).values, 0.0,
                          4.0 / sphere3.area)
-    _, spectral, _, info = ascent_step(mu, cfg)
+    _, spectral, _, info = ascent_step(mu, cfg, ())
     assert info["trials"] == 3  # t = 1/2 and 1/4 rejected, t = 1/8 accepted
     assert asked == [cfg.k_eigen, 1, 1, 1]
     assert len(spectral.eigenvalues) == cfg.k_eigen
+
+
+def test_anderson_mix_of_three_iterates_is_an_affine_maps_fixed_point():
+    # on the plane, two residual differences span every residual, so the mix
+    # of three iterates of G(x) = A x + b lands on the fixed point exactly
+    A = np.array([[0.6, 0.3], [-0.2, 0.7]])
+    b = np.array([1.0, -2.0])
+    x = [np.array([5.0, 3.0])]
+    for _ in range(2):
+        x.append(A @ x[-1] + b)
+    pairs = tuple((xi, A @ xi + b) for xi in x)
+    fixed = np.linalg.solve(np.eye(2) - A, b)
+    mix = confmax.maximizer._anderson_mix(pairs, np.array([0.5, 2.0]))
+    assert np.allclose(mix, fixed, rtol=0.0, atol=1e-12)
+    assert np.abs(x[-1] - fixed).max() > 0.1  # the plain iterates are far from it
+
+
+@pytest.mark.parametrize("surface, row", [
+    ("sphere3", (4.0, 25.15736927373595, 0.0, 7, 234)),
+    ("eq_torus16", (4.0, 46.1745376639578, 0.5, 1, 126))])
+def test_uniform_starts_never_mix(surface, row, request):
+    # each stage's first step is the plain step, and a uniform start settles
+    # the run on it: the row is the one the unmixed ascent writes, to the bit
+    mesh = request.getfixturevalue(surface)
+    trace = maximize(mesh, "uniform", AscentConfig())[3]
+    assert [(r.N, r.lambda1_area, r.step, r.trials, r.applications)
+            for r in trace.rows] == [row]
+    assert not any(r.mixed for r in trace.rows)
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_rejected_mix_falls_through_to_the_plain_line_search(sphere3, monkeypatch):
+    # a mixed candidate that puts all the mass on a hemisphere lowers
+    # lambda_1 (24.47 -> 19.68); the step then takes the plain line search's
+    # trials and density, and the history empties
+    cfg = AscentConfig(seed=1)
+    mu = project_density(sphere3, random_density(sphere3, 7).values, 0.0,
+                         4.0 / sphere3.area)
+    plain_next, _, _, plain = ascent_step(mu, cfg, ())
+    hemisphere = (sphere3.embedding[:, 2] > 0.0).astype(float)
+    monkeypatch.setattr(confmax.maximizer, "_anderson_mix", lambda pairs, w: hemisphere)
+    history = plain["history"] * confmax.maximizer.ANDERSON_MEMORY  # full; its mix is patched
+    mu_next, _, _, info = ascent_step(mu, cfg, history)
+    assert not info["mixed"] and info["history"] == ()
+    assert info["trials"] == 1 + plain["trials"]
+    assert info["applications"] > plain["applications"]
+    assert info["step"] == plain["step"]
+    assert np.array_equal(mu_next.values, plain_next.values)
 
 
 @pytest.mark.filterwarnings("ignore:sphere constraint unattained")
@@ -179,10 +227,14 @@ def test_tilted_sphere_path(monkeypatch):
     for row in trace.rows:
         expected += [cfg.k_eigen] + [1] * row.trials
     assert asked == expected + [cfg.k_eigen]
-    # the N=4 stage ends on a rejected step whose trials stay below the cap,
-    # so the N=16 and N=64 stages would repeat it and run no iterations
-    assert [row.step for row in trace.rows] == [0.25] + [0.5] * 11 + [0.0]
-    assert [row.trials for row in trace.rows] == [2] + [1] * 11 + [7]
+    # two plain steps fill the history; the third and fourth steps take the
+    # mixed candidate, the fifth rejects it and steps plainly, and after two
+    # more plain steps the N=4 stage ends on a rejected step (the mix and
+    # seven plain trials) whose trials stay below the cap, so the N=16 and
+    # N=64 stages would repeat it and run no iterations
+    assert [row.step for row in trace.rows] == [0.25] + [0.5] * 6 + [0.0]
+    assert [row.trials for row in trace.rows] == [2, 1, 1, 1, 2, 1, 1, 8]
+    assert [row.mixed for row in trace.rows] == [False] * 2 + [True] * 2 + [False] * 4
     assert trace.skipped_stages == [16.0, 64.0]
 
 
@@ -228,10 +280,10 @@ def test_stage_runs_when_its_last_step_moved_lambda_past_the_slack(sphere2):
     # relative: under lam_tol but far over the safeguard slack, so no stage
     # settles the run
     _, spectral, _, trace = maximize(sphere2, "random:0", AscentConfig())
-    assert len(trace.rows) == 44
+    assert len(trace.rows) == 35
     assert {row.N for row in trace.rows} == {4.0, 16.0, 64.0}
     assert trace.skipped_stages == []
-    assert spectral.lambda1 == 25.229982926811722
+    assert spectral.lambda1 == 25.22997966617457
 
 
 def _tilted_sphere_run(n_schedule):
@@ -242,21 +294,26 @@ def _tilted_sphere_run(n_schedule):
 
 @pytest.mark.filterwarnings("ignore:sphere constraint unattained")
 def test_stage_runs_when_a_trial_reached_the_cap():
-    trace = _tilted_sphere_run((1.25, 4.0))[3]
-    assert len(trace.rows) == 7
+    # the N=1.15 stage ends on a rejected step whose trials reach the cap
+    trace = _tilted_sphere_run((1.15, 4.0))[3]
+    assert len(trace.rows) == 9
+    assert [row.step for row in trace.rows if row.N == 1.15][-1] == 0.0
     assert any(row.N == 4.0 for row in trace.rows)
     assert trace.skipped_stages == []
 
 
 @pytest.mark.filterwarnings("ignore:sphere constraint unattained")
 def test_stage_skipped_when_no_trial_reached_the_cap():
-    _, spectral, _, trace = _tilted_sphere_run((1.1, 4.0))
-    assert len(trace.rows) == 28
-    assert all(row.N == 1.1 for row in trace.rows)
+    # the cap binds on the first three iterates, but no trial of the last,
+    # rejected step reaches it
+    _, spectral, _, trace = _tilted_sphere_run((1.6, 4.0))
+    assert len(trace.rows) == 6
+    assert all(row.N == 1.6 for row in trace.rows)
+    assert trace.rows[0].EN_measure > 0.0
     assert trace.rows[-1].step == 0.0
     assert trace.skipped_stages == [4.0]
     # the value the run reaches when the N=4 stage repeats the rejected step
-    assert spectral.lambda1 == pytest.approx(25.157516272161246, rel=1e-12)
+    assert spectral.lambda1 == pytest.approx(25.1583690986649, rel=1e-12)
     # the skipped stage never reached its cap: A(E_4) = 0 in the decay check
     check = saturation_check(trace, "tilted sphere")
     assert check.passed
@@ -481,17 +538,24 @@ def test_point_mass_start_ends_in_collapse():
 @pytest.mark.filterwarnings("ignore:sphere constraint unattained")
 def test_trace_rows_count_operator_applications(sphere2, monkeypatch):
     # a row adds up the applications of its iterate's k_eigen solve and of
-    # its k = 1 trials; the final solve comes after the last row
-    solves = []
-    solve = confmax.maximizer.solve_pencil
+    # its k = 1 trials, mixed ones included, accepted or not; the final solve
+    # comes after the last row
+    solves, mixes = [], [0]
+    solve, mix = confmax.maximizer.solve_pencil, confmax.maximizer._anderson_mix
 
     def recording(M, k, **kwargs):
         res = solve(M, k, **kwargs)
         solves.append((k, res.applications))
         return res
+
+    def counting(*args):
+        mixes[0] += 1
+        return mix(*args)
     monkeypatch.setattr(confmax.maximizer, "solve_pencil", recording)
+    monkeypatch.setattr(confmax.maximizer, "_anderson_mix", counting)
     config = AscentConfig(n_schedule=(4.0,), max_iters=5)
     trace = maximize(sphere2, "random:0", config)[3]
+    assert 0 < sum(row.mixed for row in trace.rows) < mixes[0]  # one mix was rejected
     per_iterate = []
     for k, applications in solves[:-1]:
         if k == config.k_eigen:
