@@ -35,10 +35,12 @@ def certificate(mu, spectral, frame):
     bitwise recover_density's), the singular vertices and identity_residual,
     the L^1 weak form of sum_i u_i (-Delta u_i) = sum_i |grad u_i|^2.
 
-    ``collapse`` is the ``detect_collapse`` record; its ``diameter`` is the
-    double-sweep edge-path diameter of which the one ``max_ball_mass`` radius
-    (0.05) is a fraction. The search runs afresh on each call, in memory
-    linear in V, and stores nothing on the mesh.
+    ``collapse`` is the ``detect_collapse`` record. ``max_ball_mass`` and
+    ``max_ball_mass_upper`` bracket the heaviest ball of radius 0.05 x
+    ``diameter``, the double-sweep edge-path diameter; ``centres`` counts the
+    balls searched; ``flag``, that ball holding more than half the mass, is
+    the all-pairs test's exactly. The search runs afresh on each call, in
+    memory linear in V, and stores nothing on the mesh.
     """
     mesh = mu.mesh
     if not (spectral.mesh is frame.mesh is mesh):

@@ -14,10 +14,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.io import mmwrite
 
 from . import bench as bench_mod
@@ -152,6 +154,8 @@ def cmd_maximize(args):
         "skipped_stages": trace.skipped_stages,
         "config": dataclasses.asdict(config),
         "mesh_stats": mesh_stats(mesh),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
     }
     (out / "final.json").write_text(json.dumps(state, indent=2))
     if args.dump_matrices:

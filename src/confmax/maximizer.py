@@ -239,14 +239,44 @@ def negative_measure(mu):
     return float(mu.mesh.vertex_areas[mask].sum())
 
 
+def _ball_rows(g, sources, limit):
+    """Distance rows of `sources` truncated at `limit`, by blocks that fill one slab."""
+    block = max(1, _SLAB // g.shape[0])
+    for s in range(0, len(sources), block):
+        yield slice(s, s + block), dijkstra(g, indices=sources[s:s + block], limit=limit)
+
+
+def _row_sums(inside, weights):
+    """Per row of a (sources, V) ball mask, the sum of weights over its vertices in vertex order.
+
+    Every row holds its own source, so no row is empty.
+    """
+    hit = np.flatnonzero(inside)  # row-major: by source, then by vertex
+    v = inside.shape[1]
+    return np.bincount(hit // v, weights=weights[hit % v])
+
+
 def detect_collapse(mu):
-    """Mass of the heaviest intrinsic ball of radius COLLAPSE_RADIUS * diam(M).
+    """Mass of the heaviest intrinsic ball of radius r = COLLAPSE_RADIUS * diam(M), bracketed.
 
     M is the density's mesh, and diam(M) its double-sweep edge-path diameter
-    (the eccentricity of the vertex farthest from vertex 0), a lower bound on
-    the all-pairs maximum. The balls come from Dijkstra from every vertex
-    truncated at the radius, in blocks of sources whose distances fill one
-    slab of _SLAB entries. Nothing is kept between calls, so memory is
+    (the eccentricity of far, the vertex farthest from vertex 0), a lower
+    bound on the all-pairs maximum. The balls are searched from a net of
+    centres: every s-th vertex in order of distance from far, where s is the
+    vertex count of B(far, r). One multi-source Dijkstra gives each vertex its
+    nearest centre c, hence c's covering radius delta_c, and every ball B(x, r)
+    lies in B(c, r + delta_c) of x's centre. So
+    - ``max_ball_mass`` (lower) is the heaviest B(c, r), a ball the density has;
+    - ``max_ball_mass_upper`` is the heaviest positive mass of B(c, r + delta_c),
+      or B(c, r)'s own mass where delta_c = 0 (c covers only itself);
+    - ``flag``, a ball holding more than half the mass, is the all-pairs test
+      exactly: False when upper <= 0.5, True when lower > 0.5, and otherwise
+      decided by the exact balls of every vertex whose centre's bound exceeds
+      0.5. Those balls join lower and replace their centre's bound;
+    - ``centres`` counts the balls searched.
+    Where every ball holds one vertex (s = 1), each vertex is a centre and the
+    search is the all-pairs one. Distances come in blocks of sources filling
+    one slab of _SLAB entries, and nothing is kept between calls: memory is
     O(V + _SLAB).
     """
     mesh = mu.mesh
@@ -254,17 +284,39 @@ def detect_collapse(mu):
     g = csr_matrix((mesh.edge_lengths, mesh.edges.T), shape=(v, v))  # i < j
     g = (g + g.T).tocsr()  # both directions once: a directed search is cheaper per call
     far = int(np.argmax(dijkstra(g, indices=0)))
-    diam = float(dijkstra(g, indices=far).max())
-    limit = COLLAPSE_RADIUS * diam
+    dfar = dijkstra(g, indices=far)
+    diam = float(dfar.max())
+    radius = COLLAPSE_RADIUS * diam
     vmass = mu.values * mesh.vertex_areas
-    block = max(1, _SLAB // v)
-    heaviest = -np.inf
-    for s in range(0, v, block):
-        d = dijkstra(g, indices=np.arange(s, min(s + block, v)), limit=limit)
-        hit = np.flatnonzero(d <= limit)  # row-major: by source, then by vertex
-        heaviest = max(heaviest, float(np.bincount(hit // v, weights=vmass[hit % v]).max()))
-    return {"max_ball_mass": {COLLAPSE_RADIUS: heaviest}, "flag": heaviest > 0.5,
-            "diameter": diam}
+    gain = np.maximum(vmass, 0.0)  # a floor below 0 gives balls negative annuli
+    spacing = int(np.count_nonzero(dfar <= radius))
+    centres = np.sort(np.argsort(dfar, kind="stable")[::spacing])
+    reach, _, nearest = dijkstra(g, indices=centres, min_only=True,
+                                 return_predecessors=True)
+    cell = np.searchsorted(centres, nearest)  # each vertex's centre, as a row of centres
+    delta = np.zeros(len(centres))
+    np.maximum.at(delta, cell, reach)
+    # widened by far more than an edge-path sum's rounding, so the cover holds in floats
+    wide = (radius + delta) * (1.0 + 1e-9)
+    lower, upper = np.empty(len(centres)), np.empty(len(centres))
+    for rows, d in _ball_rows(g, centres, wide.max()):
+        lower[rows] = _row_sums(d <= radius, vmass)
+        upper[rows] = _row_sums(d <= wide[rows, None], gain)
+    upper = np.where(delta > 0.0, upper, lower)
+    heaviest, searched = lower.max(), len(centres)
+    if heaviest <= 0.5 < upper.max():
+        open_ = upper > 0.5
+        sources = np.flatnonzero(open_[cell])
+        exact = np.empty(len(sources))
+        for rows, d in _ball_rows(g, sources, radius):
+            exact[rows] = _row_sums(d <= radius, vmass)
+        best = np.full(len(centres), -np.inf)
+        np.maximum.at(best, cell[sources], exact)
+        upper[open_] = best[open_]
+        heaviest, searched = max(heaviest, exact.max()), searched + len(sources)
+    return {"max_ball_mass": {COLLAPSE_RADIUS: float(heaviest)},
+            "max_ball_mass_upper": {COLLAPSE_RADIUS: float(upper.max())},
+            "flag": bool(heaviest > 0.5), "diameter": diam, "centres": int(searched)}
 
 
 def make_initial_density(mesh, init, floor, cap, seed=0):

@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.io import mmread
 
 import confmax.fem
@@ -83,6 +85,8 @@ def test_maximize_outputs(tmp_path):
     config = AscentConfig(n_schedule=(4.0,), max_iters=100, lam_tol=1e-5)
     assert final["config"] == json.loads(json.dumps(dataclasses.asdict(config)))
     assert final["mesh_stats"] == json.loads(json.dumps(mesh_stats(gen_icosphere(2))))
+    assert final["versions"] == {"python": platform.python_version(),
+                                 "numpy": np.__version__, "scipy": scipy.__version__}
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["schema"] == "confspec-cert-1"
     dens = json.loads((out / "density.json").read_text())

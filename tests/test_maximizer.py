@@ -19,7 +19,7 @@ from confmax.maximizer import (AscentConfig, ProjectionError, ascent_step,
                                detect_collapse, make_initial_density, maximize,
                                negative_measure, project_density,
                                saturated_measure, trace_csv_rows)
-from confmax.mesh import gen_flat_torus, gen_icosphere
+from confmax.mesh import TriangleMesh, gen_flat_torus, gen_icosphere
 from conftest import EQUILATERAL, SQUARE, polar_cap, tilted_density, vanishing_density
 
 
@@ -442,19 +442,81 @@ def _reference_record(d, mu):
     return diam, {0.05: (csr_matrix(d <= 0.05 * diam) @ vmass).max()}
 
 
-@pytest.mark.parametrize("density", ["uniform", "random"])
-def test_detect_collapse_matches_all_pairs(sphere3, eq_torus16, density):
-    # sphere3 (V = 642) spans two source blocks of 408 sources, eq_torus16 one
-    for mesh in (sphere3, eq_torus16):
+def _permuted(mesh, seed):
+    """The mesh with its vertices renumbered by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(mesh.vertex_count)  # new -> old
+    return TriangleMesh.from_embedding(mesh.embedding[perm],
+                                       np.argsort(perm)[mesh.triangles])
+
+
+def _ball_density(mesh, d, x, mass):
+    """Unit-mass density holding `mass` evenly on B(x, 0.05 diam), the rest evenly off it."""
+    near = d[x] <= 0.05 * d[np.argmax(d[0])].max()
+    a = mesh.vertex_areas
+    return DensityField(mesh, np.where(near, mass / a[near].sum(), (1 - mass) / a[~near].sum()))
+
+
+def _bracket_densities(mesh, d, case):
+    if case in ("uniform", "random"):
+        first = uniform_density(mesh) if case == "uniform" else random_density(mesh, 5)
+        return [first, random_density(mesh, 11)]
+    if case == "signed":  # floor -0.5 mean densities: at the floor on 13% of the vertices
+        vals = np.random.default_rng(3).uniform(-1.5, 2.5, mesh.vertex_count) / mesh.area
+        return [project_density(mesh, vals, -0.5 / mesh.area, 64.0 / mesh.area)]
+    if case == "permuted":
+        return [uniform_density(mesh), random_density(mesh, 5)]
+    # vertex 7 is no centre of icosphere 3's net, and no centre's ball holds
+    # more than half of either density, so the exact balls decide the flag
+    return [_ball_density(mesh, d, 7, 0.49), _ball_density(mesh, d, 7, 0.55)]
+
+
+@pytest.mark.parametrize("case", ["uniform", "random", "signed", "permuted", "refined"])
+def test_detect_collapse_matches_all_pairs(sphere3, eq_torus16, case):
+    # On icosphere 3 (s = 6) the centres' balls bracket the all-pairs maximum and
+    # the flag is the all-pairs flag. On eq_torus16 every ball holds one vertex
+    # (s = 1): every vertex is a centre and the record is the all-pairs one, bit
+    # for bit.
+    meshes = {"uniform": (sphere3, eq_torus16), "random": (sphere3, eq_torus16),
+              "permuted": (_permuted(sphere3, 2),)}.get(case, (sphere3,))
+    for mesh in meshes:
         d = _all_pairs(mesh)
-        first = (uniform_density(mesh) if density == "uniform"
-                 else random_density(mesh, 5))
-        for mu in (first, random_density(mesh, 11)):
+        centres = detect_collapse(uniform_density(mesh))["centres"]
+        for mu in _bracket_densities(mesh, d, case):
             diam, ref = _reference_record(d, mu)
             out = detect_collapse(mu)
             assert out["diameter"] == diam
-            assert out["max_ball_mass"] == ref
             assert out["flag"] == (ref[0.05] > 0.5)
+            lower, upper = out["max_ball_mass"][0.05], out["max_ball_mass_upper"][0.05]
+            assert lower <= ref[0.05] <= upper
+            assert (out["centres"] > centres) == (case == "refined")
+            if mesh is eq_torus16:
+                assert centres == mesh.vertex_count
+                assert out["max_ball_mass"] == out["max_ball_mass_upper"] == ref
+            else:
+                assert centres < mesh.vertex_count / 4
+    if case == "signed":
+        assert mu.values.min() == -0.5 / mesh.area
+
+
+def test_collapse_search_counts_distance_rows(sphere4, eq_torus16, monkeypatch):
+    # Distance rows per call: the double sweep's two, one for the multi-source
+    # search that finds each vertex's nearest centre, and one per ball searched.
+    # A full search from every vertex, as before the net, takes V + 2.
+    rows = []
+
+    def counting(graph, **kwargs):
+        rows.append(1 if kwargs.get("min_only") else np.size(kwargs["indices"]))
+        return dijkstra(graph, **kwargs)
+
+    monkeypatch.setattr(confmax.maximizer, "dijkstra", counting)
+    for mesh, searched in ((sphere4, None), (eq_torus16, eq_torus16.vertex_count)):
+        rows.clear()
+        out = detect_collapse(uniform_density(mesh))
+        assert sum(rows) == out["centres"] + 3
+        if searched is None:
+            assert sum(rows) < mesh.vertex_count / 4
+        else:
+            assert out["centres"] == searched
 
 
 def test_collapse_search_memory():
