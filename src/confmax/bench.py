@@ -1,8 +1,8 @@
 """Acceptance matrix: closed-form extremal values plus property spot checks.
 
-Each check returns a BenchResult; `run_all` shares the expensive maximizer
-runs across checks. `--quick` switches to coarse meshes with doubled
-tolerances.
+Each check returns a BenchResult and writes its tolerance once, in its own
+body. `run_all` maximizes each run of the table `RUNS` once and hands the
+runs to the checks that read them.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .oracle import brute_force_torus_max
 # perfbench/workloads.py reads EIGHT_PI, TORUS_MAX, EQUILATERAL and SQUARE from here
 EIGHT_PI = SURFACES["icosphere"].lambda1_area
 TORUS_MAX = SURFACES["flat-torus:equilateral"].lambda1_area
-ORDER_FLOOR = 1.8  # least convergence order of the uniform sphere's lambda_1
 
 
 @dataclass
@@ -38,12 +37,6 @@ def _result(name, passed, value, target, detail=""):
     return BenchResult(name, bool(passed), float(value), target, detail)
 
 
-def _uniform_spectrum(spec, k, seed, **solver):
-    """The uniform-density pencil solve on the generator spec's mesh."""
-    mesh = mesh_from_spec(spec)
-    return solve_pencil(assemble_mass(mesh, uniform_density(mesh)), k=k, seed=seed, **solver)
-
-
 def _clusters_check(name, res, sizes, targets, rel_tol):
     """The first two eigenvalue clusters against their sizes and closed-form values."""
     got = [(len(c), float(np.mean(res.eigenvalues[list(c)]))) for c in res.clusters[:2]]
@@ -53,43 +46,44 @@ def _clusters_check(name, res, sizes, targets, rel_tol):
     return _result(name, ok, v0, target, f"sizes {n0},{n1}; values {v0:.4f}, {v1:.4f}")
 
 
-def sphere_spectrum_check(subdivs=(3, 4, 5), rel_tol=0.01, seed=0):
-    """Uniform-density sphere spectrum vs l(l+1) harmonics, plus mesh order."""
-    lams, results = [], []
-    for s in subdivs:
-        res = _uniform_spectrum(f"icosphere:{s}", 9, seed)
-        lams.append(res.lambda1)
-        if s == subdivs[-2]:  # l (l + 1) 4 pi at l = 1, 2
-            results.append(_clusters_check("sphere spectrum clusters", res, (3, 5),
-                                           (EIGHT_PI, 3 * EIGHT_PI), rel_tol))
-    errs = [abs(l - EIGHT_PI) for l in lams]
-    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-    results.append(_result(
-        "sphere eigenvalue convergence order", min(orders) >= ORDER_FLOOR,
-        min(orders), f">= {ORDER_FLOOR}", f"orders {['%.2f' % o for o in orders]}"))
-    return results
+def spectrum_checks(seed):
+    """Uniform-density spectra against closed forms, plus the sphere's mesh order.
 
-
-def torus_spectrum_check(n=48, rel_tol=0.01, seed=0, rel_gap=0.02):
-    """Square-torus spectrum vs 4 pi^2 |m|^2 Fourier values and multiplicities.
-
-    rel_gap must track the mesh: the diagonal edge direction splits the
-    4-fold second eigenvalue by O(h^2), about 2.3% at n = 24.
+    The sphere's clusters are the l(l+1) 4 pi harmonics at l = 1, 2; the square
+    torus's are the 4 pi^2 |m|^2 Fourier values. The torus's diagonal edge
+    direction splits its 4-fold second eigenvalue by O(h^2): about 2.3% at
+    n = 24, under the solver's 2% cluster gap at n = 48.
     """
-    res = _uniform_spectrum(f"flat-torus:square:{n}", 10, seed, rel_gap=rel_gap)
+    def solve(spec, k):  # the uniform density's pencil on the spec's mesh
+        mesh = mesh_from_spec(spec)
+        return solve_pencil(assemble_mass(mesh, uniform_density(mesh)), k=k, seed=seed)
+
+    order_floor = 1.8  # least convergence order of the uniform sphere's lambda_1
+    spheres = [solve(f"icosphere:{s}", 9) for s in (3, 4, 5)]
+    errs = [abs(res.lambda1 - EIGHT_PI) for res in spheres]
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    torus = solve("flat-torus:square:48", 10)
     t0 = SURFACES["flat-torus:square"].lambda1_area
-    return _clusters_check("square torus spectrum", res, (4, 4), (t0, 2 * t0), rel_tol)
+    return [_clusters_check("sphere spectrum clusters", spheres[1], (3, 5),
+                            (EIGHT_PI, 3 * EIGHT_PI), 0.01),
+            _result("sphere eigenvalue convergence order", min(orders) >= order_floor,
+                    min(orders), f">= {order_floor}", f"orders {['%.2f' % o for o in orders]}"),
+            _clusters_check("square torus spectrum", torus, (4, 4), (t0, 2 * t0), 0.01)]
 
 
-def _maximize(spec, init, seed):
-    """(mesh, lambda1*A, trace) of one maximize run on the generator spec."""
-    mesh = mesh_from_spec(spec)
-    _, spectral, _, trace = maximize(mesh, init, AscentConfig(seed=seed))
-    return mesh, spectral.lambda1, trace
+def value_check(name, spec, lam):
+    """A maximizer's lambda1*A against its surface's closed-form Lambda1."""
+    rel_tol = 0.02
+    surface = SURFACES[spec.rsplit(":", 1)[0]]  # the spec without its size field
+    rel = abs(lam - surface.lambda1_area) / surface.lambda1_area
+    return _result(f"{name} maximizer value", rel <= rel_tol, lam,
+                   f"{surface.formula} = {surface.lambda1_area:.4f} ({rel_tol:.0%})",
+                   f"lambda1*A = {lam:.4f}")
 
 
-def fixed_point_check(mesh, name, tol=1e-6, seed=0):
+def fixed_point_check(mesh, name, seed=0):
     """Uniform density should be (numerically) stationary for ascent_step."""
+    tol = 1e-6
     cfg = AscentConfig(seed=seed)
     cap = cfg.n_schedule[-1] / mesh.area
     mu = DensityField(mesh, uniform_density(mesh).values, 0.0, cap)
@@ -99,13 +93,10 @@ def fixed_point_check(mesh, name, tol=1e-6, seed=0):
                    f"L1 move <= {tol}", f"L1 move {dist:.3e}, step {info['step']}")
 
 
-def certificate_check(cert, name, sphere_tol=5e-2, recovery_tol=2e-2,
-                      harmonic_tol=5e-2):
-    checks = [
-        ("sphere_residual", cert["sphere_residual"], sphere_tol),
-        ("density_recovery_L1", cert["density_recovery_L1"], recovery_tol),
-        ("harmonic_weak_residual", cert["harmonic_weak_residual"], harmonic_tol),
-    ]
+def certificate_check(cert, name):
+    checks = [(key, cert[key], tol) for key, tol in (
+        ("sphere_residual", 5e-2), ("density_recovery_L1", 2e-2),
+        ("harmonic_weak_residual", 5e-2))]
     worst = max(v / t for _, v, t in checks)
     detail = ", ".join(f"{k}={v:.3e}" for k, v, _ in checks)
     return _result(f"{name} certificate", worst <= 1.0, worst,
@@ -129,15 +120,14 @@ def bounds_check(runs):
                    "; ".join(details) or f"{len(runs)} runs checked")
 
 
-def property_checks(seed=0):
+def property_checks(seed):
     rng = np.random.default_rng(seed)
     out = []
 
     # stiffness conformal invariance, exact for power-of-two scalings
     mesh = mesh_from_spec("icosphere:2")
     scaled = type(mesh)(mesh.vertex_count, mesh.triangles,
-                        [(int(i), int(j), 2.0 * l) for (i, j), l in
-                         zip(mesh.edges, mesh.edge_lengths)])
+                        np.column_stack([mesh.edges, 2.0 * mesh.edge_lengths]))
     diff = abs(mesh.stiffness.matrix - scaled.stiffness.matrix).max()
     out.append(_result("stiffness conformal invariance", diff == 0.0, diff,
                        "exact", f"max entry diff {diff}"))
@@ -195,8 +185,7 @@ def saturation_check(trace, name):
     per_n = dict.fromkeys(trace.skipped_stages, 0.0)  # such a stage never reached its cap
     for r in trace.rows:
         per_n[r.N] = r.EN_measure  # last iterate per N wins
-    ns = sorted(per_n)
-    measures = [per_n[n] for n in ns]
+    measures = [per_n[n] for n in sorted(per_n)]
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(measures, measures[1:]))
     return _result(f"{name} saturated-set decay", nonincreasing,
                    trace.saturation_constant,
@@ -205,68 +194,60 @@ def saturation_check(trace, name):
                    f"measures {['%.3e' % m for m in measures]}")
 
 
-def run_all(quick=False, seed=0):
+# name -> (generator spec, start density); a start may name the run's seed
+RUNS = {
+    "sphere": ("icosphere:4", "random:{seed}"),
+    "coarse sphere": ("icosphere:3", "random:{seed}"),
+    "equilateral torus": ("flat-torus:equilateral:48", "uniform"),
+    "square torus": ("flat-torus:square:48", "uniform"),
+    # from a random start the torus ascent takes several steps; from uniform it settles at once
+    "equilateral torus ascent": ("flat-torus:equilateral:24", "random:2"),
+}
+
+
+def run_all(seed=0):
+    """Maximize each run of RUNS once, then run every check on the runs it reads."""
+    cfg = AscentConfig(seed=seed)  # each run is maximize's (mu, spectral, frame, trace)
+    runs = {name: maximize(mesh_from_spec(spec), start.format(seed=seed), cfg)
+            for name, (spec, start) in RUNS.items()}
+    traces = {name: run[3] for name, run in runs.items()}
+    trace_s = traces["sphere"]
     results = []
-    tol_mul = 2.0 if quick else 1.0
-    s_main = 3 if quick else 4
-    n_torus = 24 if quick else 48
-    restarts = 5 if quick else 20
 
-    # 1. sphere maximizer from a random start
-    mesh_s, lam_s, trace_s = _maximize(f"icosphere:{s_main}", f"random:{seed}", seed)
-    rel = abs(lam_s - EIGHT_PI) / EIGHT_PI
-    results.append(_result("sphere maximizer value", rel <= 0.02 * tol_mul, lam_s,
-                           f"8pi = {EIGHT_PI:.4f} (2%)", f"lambda1*A = {lam_s:.4f}"))
+    # criteria 1-3: values at the closed forms; uniform densities are fixed points
+    for name in ("sphere", "equilateral torus"):
+        mu, spectral, _, _ = runs[name]
+        results.append(value_check(name, RUNS[name][0], spectral.lambda1))
+        results.append(fixed_point_check(mu.mesh, name, seed))
 
-    # 2. sphere fixed point
-    results.append(fixed_point_check(mesh_s, "sphere", tol=1e-6 * tol_mul, seed=seed))
+    # criterion 4: eigensolver oracles
+    results.extend(spectrum_checks(seed))
 
-    # 3. equilateral torus value + fixed point
-    mesh_t, lam_t, trace_t = _maximize(f"flat-torus:equilateral:{n_torus}", "uniform", seed)
-    rel_t = abs(lam_t - TORUS_MAX) / TORUS_MAX
-    results.append(_result("equilateral torus maximizer value", rel_t <= 0.02 * tol_mul, lam_t,
-                           f"8pi^2/sqrt3 = {TORUS_MAX:.4f} (2%)", f"lambda1*A = {lam_t:.4f}"))
-    results.append(fixed_point_check(mesh_t, "equilateral torus", tol=1e-6 * tol_mul, seed=seed))
-
-    # 4. eigensolver oracles
-    subdivs = (2, 3, 4) if quick else (3, 4, 5)
-    results.extend(sphere_spectrum_check(subdivs, rel_tol=0.01 * tol_mul, seed=seed))
-    results.append(torus_spectrum_check(n_torus, rel_tol=0.01 * tol_mul, seed=seed,
-                                        rel_gap=0.02 * tol_mul))
-
-    # 5. certificates at the converged runs + refinement decrease
-    for trace, name in ((trace_s, "sphere"), (trace_t, "equilateral torus")):
-        results.append(certificate_check(trace.certificate, name,
-                                         5e-2 * tol_mul, 2e-2 * tol_mul, 5e-2 * tol_mul))
-    _, _, trace_coarse = _maximize(f"icosphere:{s_main - 1}", f"random:{seed}", seed)
+    # criterion 5: certificates at the converged runs + refinement decrease
+    for name in ("sphere", "equilateral torus"):
+        results.append(certificate_check(traces[name].certificate, name))
     h_fine = trace_s.certificate["harmonic_weak_residual"]
-    h_coarse = trace_coarse.certificate["harmonic_weak_residual"]
+    h_coarse = traces["coarse sphere"].certificate["harmonic_weak_residual"]
     results.append(_result("harmonic residual mesh refinement", h_fine < h_coarse,
                            h_fine, "decreasing under refinement",
                            f"coarse {h_coarse:.3e} -> fine {h_fine:.3e}"))
-    results.append(_result("negative set measure (floor 0)",
-                           trace_s.certificate["neg_set_measure"] == 0.0,
-                           trace_s.certificate["neg_set_measure"], "= 0", ""))
+    neg = trace_s.certificate["neg_set_measure"]
+    results.append(_result("negative set measure (floor 0)", neg == 0.0, neg, "= 0", ""))
     results.append(saturation_check(trace_s, "sphere"))
 
-    # 6. square torus vs brute-force oracle
-    _, lam_q, trace_q = _maximize(f"flat-torus:square:{n_torus}", "uniform", seed)
-    oracle = brute_force_torus_max(n=12, restarts=restarts, seed=seed)
+    # criterion 7: square torus vs brute-force oracle
+    lam_q = runs["square torus"][1].lambda1
+    oracle = brute_force_torus_max(n=12, restarts=20, seed=seed)
     rel_q = abs(lam_q - oracle) / oracle
     results.append(_result("square torus vs brute-force oracle", rel_q <= 0.03,
                            lam_q, f"oracle {oracle:.4f} (3%)",
                            f"main {lam_q:.4f}, oracle {oracle:.4f}, rel {rel_q:.3%}"))
 
-    # 7. bounds on everything this run produced
-    results.append(bounds_check([("sphere max", trace_s), ("equilateral torus max", trace_t),
-                                 ("coarse sphere max", trace_coarse),
-                                 ("square torus max", trace_q)]))
+    # criterion 6: bounds on every run
+    results.append(bounds_check([(f"{name} max", trace) for name, trace in traces.items()]))
 
-    # 8. property suites; from a random start the torus ascent takes several
-    # steps, where the uniform run above settles on its first
-    results.extend(property_checks(seed=seed))
-    results.append(monotonicity_check(trace_s, "sphere"))
-    results.append(monotonicity_check(trace_t, "equilateral torus"))
-    _, _, trace_a = _maximize("flat-torus:equilateral:24", "random:2", seed)
-    results.append(monotonicity_check(trace_a, "equilateral torus ascent"))
+    # criterion 8: property suites
+    results.extend(property_checks(seed))
+    for name in ("sphere", "equilateral torus", "equilateral torus ascent"):
+        results.append(monotonicity_check(traces[name], name))
     return results

@@ -167,14 +167,13 @@ def cmd_maximize(args):
 def cmd_bench(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = bench_mod.run_all(quick=args.quick, seed=args.seed)
-    header = ["criterion", "pass", "value", "target", "detail"]
+    results = bench_mod.run_all(seed=args.seed)
     rows = [[r.name, "PASS" if r.passed else "FAIL", r.value, r.target, r.detail]
             for r in results]
-    _write_csv(out / "bench.csv", header, rows)
+    _write_csv(out / "bench.csv", ["criterion", "pass", "value", "target", "detail"], rows)
     width = max(len(r.name) for r in results)
-    for r in results:
-        print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
+    for name, verdict, _, _, detail in rows:
+        print(f"{name:<{width}}  {verdict}  {detail}")
     return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPT_FAIL
 
 
@@ -204,7 +203,6 @@ def build_parser(config=None):
     maximize.add_argument("--tol", type=float)
     maximize.add_argument("--max-iters", type=int)
     bench.add_argument("--seed", type=int, default=AscentConfig.seed)
-    bench.add_argument("--quick", action="store_true")
     for sp in (spectrum, maximize, bench):
         sp.add_argument("--out", default="out")
     if config:

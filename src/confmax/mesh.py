@@ -325,18 +325,19 @@ class Surface(NamedTuple):
     grammar: str  # its spec with the size fields named, [...] optional
     build: Callable[..., TriangleMesh]  # the size fields, as ints, to the mesh
     lambda1_area: float  # closed-form Lambda1, the largest lambda1*A over the class
+    formula: str  # lambda1_area written in closed form
 
 
 # each row calls its generator by name, so a wrapper installed on one sees the call
 SURFACES = {
     "icosphere": Surface("icosphere:S", lambda s: gen_icosphere(s),
-                         8.0 * math.pi),  # Hersch 1970
+                         8.0 * math.pi, "8pi"),  # Hersch 1970
     "flat-torus:square": Surface("flat-torus:square:NX[:NY]",
                                  lambda nx, ny=None: gen_flat_torus(SQUARE, nx, ny),
-                                 4.0 * math.pi ** 2),
-    "flat-torus:equilateral": Surface("flat-torus:equilateral:NX[:NY]",
+                                 4.0 * math.pi ** 2, "4pi^2"),
+    "flat-torus:equilateral": Surface("flat-torus:equilateral:NX[:NY]",  # Nadirashvili 1996
                                       lambda nx, ny=None: gen_flat_torus(EQUILATERAL, nx, ny),
-                                      8.0 * math.pi ** 2 / math.sqrt(3.0)),  # Nadirashvili 1996
+                                      8.0 * math.pi ** 2 / math.sqrt(3.0), "8pi^2/sqrt3"),
 }
 
 

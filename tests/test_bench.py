@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from confmax.bench import _clusters_check, bounds_check, monotonicity_check
+from confmax.bench import _clusters_check, bounds_check, monotonicity_check, value_check
 from confmax.mesh import SURFACES
 
 
@@ -21,6 +21,21 @@ def test_clusters_check_labels_the_tolerance_it_checks():
     tight = _clusters_check("square torus spectrum", res, (4, 4), (t0, 2 * t0), 0.01)
     assert not tight.passed
     assert tight.target.endswith(" (1%)")
+
+
+def test_value_check_labels_the_tolerance_it_checks():
+    # 1.5% off the closed form passes and 2.5% off fails: the label's 2% is the one checked
+    t = SURFACES["icosphere"].lambda1_area
+    near = value_check("sphere", "icosphere:4", 1.015 * t)
+    assert near.passed
+    assert near.target == f"8pi = {t:.4f} (2%)"
+    assert not value_check("sphere", "icosphere:4", 1.025 * t).passed
+    assert not value_check("sphere", "icosphere:4", 0.975 * t).passed
+    # the equilateral torus reads its own row of SURFACES
+    t = SURFACES["flat-torus:equilateral"].lambda1_area
+    torus = value_check("equilateral torus", "flat-torus:equilateral:48", 0.985 * t)
+    assert torus.passed
+    assert torus.target == f"8pi^2/sqrt3 = {t:.4f} (2%)"
 
 
 def test_monotonicity_check_reports_the_rows_it_compared():

@@ -278,7 +278,8 @@ def test_ascent_defaults_come_from_ascent_config():
 @pytest.mark.parametrize("argv", [["bench", "--dump-matrices"],
                                   ["spectrum", "--gen", "icosphere:2", "--quick"],
                                   ["maximize", "--gen", "icosphere:1", "--damping", "0.5"],
-                                  ["spectrum", "--gen", "icosphere:1", "--n-schedule", "4"]])
+                                  ["spectrum", "--gen", "icosphere:1", "--n-schedule", "4"],
+                                  ["bench", "--quick"]])
 def test_flag_not_read_by_subcommand_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
