@@ -47,7 +47,9 @@ class AscentConfig:
     the solves at each iterate and the final solve, whose leading cluster
     feeds the frame and the certificate; line-search trials solve for the
     first eigenpair only. The line search starts at the module constant
-    DAMPING.
+    DAMPING. A stage ends on a step that moves lambda by at most lam_tol
+    (relative), and a line search at a rejected trial within lam_tol of the
+    iterate's lambda.
     """
     n_schedule: tuple = (4.0, 16.0, 64.0)
     max_iters: int = 500
@@ -92,6 +94,7 @@ class TraceRow:
     applications: int  # Lanczos operator applications of the iterate's solve and its trials
     wall_ms: float
     mixed: bool        # the accepted step is the Anderson candidate
+    search: str        # why the line search ended: "accepted", "flat" or "exhausted"
 
 
 @dataclass
@@ -173,15 +176,22 @@ def ascent_step(mu_k, config, history):
     ANDERSON_MEMORY steps are plain, and so are the ANDERSON_MEMORY steps
     after a rejected mix.
 
+    The plain search ends at its first rejected trial whose lambda lies within
+    config.lam_tol of lambda at mu_k: a step that cannot move lambda by the
+    stage's own resolution is rejected as when every halving is, and the
+    remaining halvings are not solved. A rejected mix never ends the search (it
+    says nothing about the plain segment), and lam_tol = 0 turns the stop off.
+
     Returns (mu_next, spectral_at_mu_k, frame_at_mu_k, info). info records the
-    accepted step size (DAMPING for the mixed candidate, 0.0 when every trial
-    decreased lambda and the iterate was kept), "mixed": whether the mixed
-    candidate was accepted, the eigenvalue at the accepted density, the
-    number of trials, "applications": the Lanczos operator applications of
-    the solve at mu_k and of the trials, "capped": whether any trial
-    candidate reached the cap, and "history": the pairs for the next step.
-    The solve at mu_k asks for config.k_eigen eigenpairs; each trial asks for
-    lambda_1 alone, the only value the safeguard compares.
+    accepted step size (DAMPING for the mixed candidate, 0.0 when the step was
+    rejected and the iterate kept), "mixed": whether the mixed candidate was
+    accepted, the eigenvalue at the accepted density, the number of trials,
+    "applications": the Lanczos operator applications of the solve at mu_k
+    and of the trials, "capped": whether any trial candidate reached the cap,
+    "search": why the line search ended ("accepted", "flat": the stop above,
+    or "exhausted": every halving rejected), and "history": the pairs for the
+    next step. The solve at mu_k asks for config.k_eigen eigenpairs; each
+    trial asks for lambda_1 alone, the only value the safeguard compares.
     """
     mesh, floor, cap = mu_k.mesh, mu_k.floor, mu_k.cap
     spectral = _solve(mu_k, config, config.k_eigen)
@@ -194,8 +204,9 @@ def ascent_step(mu_k, config, history):
     # anything looser breaks both the monotone-trace invariant and the exact
     # fixed-point behaviour at symmetric optima
     tol_abs = SAFEGUARD_SLACK * lam_k
-    accepted = (lam_k, mu_k, 0.0, False)  # kept when every trial decreases lambda
-    capped = False
+    flat = lam_k * (1.0 - config.lam_tol)  # a rejected plain trial this high ends the search
+    accepted = (lam_k, mu_k, 0.0, False)  # kept when the step is rejected
+    capped, search = False, "exhausted"
     applications = spectral.applications
     mix = ([(_anderson_mix(pairs, np.sqrt(mesh.vertex_areas)), DAMPING, True)]
            if len(history) == ANDERSON_MEMORY else [])
@@ -209,11 +220,15 @@ def ascent_step(mu_k, config, history):
         applications += trial.applications
         lam_c = trial.lambda1
         if lam_c >= lam_k - tol_abs:
-            accepted = (lam_c, cand, t, is_mix)
+            accepted, search = (lam_c, cand, t, is_mix), "accepted"
+            break
+        if not is_mix and lam_c >= flat:
+            search = "flat"
             break
     lam_next, mu_next, t_used, mixed = accepted
     info = {"step": t_used, "mixed": mixed, "lambda_next": lam_next,
             "trials": trials, "applications": applications, "capped": capped,
+            "search": search,
             "history": () if mix and not mixed else pairs[-ANDERSON_MEMORY:]}
     return mu_next, spectral, frame, info
 
@@ -275,7 +290,8 @@ def detect_collapse(mu):
       0.5. Those balls join lower and replace their centre's bound;
     - ``centres`` counts the balls searched.
     Where every ball holds one vertex (s = 1), each vertex is a centre and the
-    search is the all-pairs one. Distances come in blocks of sources filling
+    search is the all-pairs one: the covering search and the widened balls are
+    skipped, and upper = lower. Distances come in blocks of sources filling
     one slab of _SLAB entries, and nothing is kept between calls: memory is
     O(V + _SLAB).
     """
@@ -290,18 +306,23 @@ def detect_collapse(mu):
     vmass = mu.values * mesh.vertex_areas
     gain = np.maximum(vmass, 0.0)  # a floor below 0 gives balls negative annuli
     spacing = int(np.count_nonzero(dfar <= radius))
-    centres = np.sort(np.argsort(dfar, kind="stable")[::spacing])
-    reach, _, nearest = dijkstra(g, indices=centres, min_only=True,
-                                 return_predecessors=True)
-    cell = np.searchsorted(centres, nearest)  # each vertex's centre, as a row of centres
-    delta = np.zeros(len(centres))
-    np.maximum.at(delta, cell, reach)
+    if spacing > 1:
+        centres = np.sort(np.argsort(dfar, kind="stable")[::spacing])
+        reach, _, nearest = dijkstra(g, indices=centres, min_only=True,
+                                     return_predecessors=True)
+        cell = np.searchsorted(centres, nearest)  # each vertex's centre, as a row of centres
+        delta = np.zeros(len(centres))
+        np.maximum.at(delta, cell, reach)
+    else:  # every ball holds one vertex: each vertex is a centre covering only itself
+        centres = cell = np.arange(v)
+        delta = np.zeros(v)
     # widened by far more than an edge-path sum's rounding, so the cover holds in floats
     wide = (radius + delta) * (1.0 + 1e-9)
     lower, upper = np.empty(len(centres)), np.empty(len(centres))
     for rows, d in _ball_rows(g, centres, wide.max()):
         lower[rows] = _row_sums(d <= radius, vmass)
-        upper[rows] = _row_sums(d <= wide[rows, None], gain)
+        if spacing > 1:  # at s = 1 every bound is its centre's own ball
+            upper[rows] = _row_sums(d <= wide[rows, None], gain)
     upper = np.where(delta > 0.0, upper, lower)
     heaviest, searched = lower.max(), len(centres)
     if heaviest <= 0.5 < upper.max():
@@ -343,10 +364,11 @@ def maximize(mesh, mu0, config=AscentConfig()):
     move) or an accepted one the safeguard cannot resolve. Every later stage
     then only re-projects mu and runs no iterations; its N goes to
     trace.skipped_stages. Skipping is exact in this sense:
-    - a rejected step is exact to the bit: the floor is fixed and no trial was
-      clipped at the cap, so a larger cap gives bitwise the same trial
-      projections, the stage would repeat the same rejected step, and by
-      induction so would every later one;
+    - a rejected step is exact to the bit: the floor is fixed and none of the
+      trials that ran was clipped at the cap, so a larger cap gives bitwise the
+      same trial projections, the same lambda values and the same end of the
+      line search (flat or exhausted); the stage would repeat the same rejected
+      step, and by induction so would every later one;
     - an accepted step is exact to the safeguard's resolution: with the cap not
       binding, each skipped stage would retake a step of the same map, one the
       safeguard cannot tell from standing still (on a flat torus from uniform,
@@ -381,7 +403,7 @@ def maximize(mesh, mu0, config=AscentConfig()):
                 step=info["step"], frame_obj=frame.objective,
                 frame_steps=frame.iterations, frame_stop=frame.stop_reason,
                 trials=info["trials"], applications=info["applications"],
-                wall_ms=wall, mixed=info["mixed"]))
+                wall_ms=wall, mixed=info["mixed"], search=info["search"]))
             lam_change = abs(info["lambda_next"] - spectral.lambda1)  # 0 on a rejected step
             mu = mu_next
             if lam_change <= config.lam_tol * spectral.lambda1:

@@ -105,12 +105,19 @@ def test_schedule_may_start_at_the_mean_density(sphere3):
 
 
 def test_uniform_sphere_is_fixed_point(sphere3):
-    cfg = AscentConfig()
-    cap = cfg.n_schedule[0] / sphere3.area
-    mu = project_density(sphere3, uniform_density(sphere3).values, 0.0, cap)
-    mu_next, _, _, info = ascent_step(mu, cfg, ())
-    move = sphere3.vertex_areas @ np.abs(mu_next.values - mu.values)
-    assert move < 1e-6
+    # the first trial lowers lambda by less than lam_tol: the line search ends
+    # there and keeps the iterate, the density and lambda that the full search
+    # of seven rejected halvings (lam_tol = 0) gives, to the bit
+    mu = project_density(sphere3, uniform_density(sphere3).values, 0.0,
+                         AscentConfig().n_schedule[0] / sphere3.area)
+    flat_next, _, _, flat = ascent_step(mu, AscentConfig(), ())
+    full_next, _, _, full = ascent_step(mu, AscentConfig(lam_tol=0.0), ())
+    assert (flat["trials"], flat["search"]) == (1, "flat")
+    assert (full["trials"], full["search"]) == (7, "exhausted")
+    assert flat["step"] == full["step"] == 0.0
+    assert flat["lambda_next"] == full["lambda_next"]
+    assert np.array_equal(flat_next.values, full_next.values)
+    assert np.array_equal(flat_next.values, mu.values)
 
 
 @pytest.mark.filterwarnings("ignore:sphere constraint unattained")
@@ -182,11 +189,13 @@ def test_anderson_mix_of_three_iterates_is_an_affine_maps_fixed_point():
 
 
 @pytest.mark.parametrize("surface, row", [
-    ("sphere3", (4.0, 25.15736927373595, 0.0, 7, 234)),
+    ("sphere3", (4.0, 25.15736927373595, 0.0, 1, 126)),
     ("eq_torus16", (4.0, 46.1745376639578, 0.5, 1, 126))])
 def test_uniform_starts_never_mix(surface, row, request):
     # each stage's first step is the plain step, and a uniform start settles
-    # the run on it: the row is the one the unmixed ascent writes, to the bit
+    # the run on it: the row is the one the unmixed ascent writes, to the bit.
+    # On the sphere the first trial already lies within lam_tol of lambda, so
+    # the line search ends there (1 trial, not 7) and rejects the step.
     mesh = request.getfixturevalue(surface)
     trace = maximize(mesh, "uniform", AscentConfig())[3]
     assert [(r.N, r.lambda1_area, r.step, r.trials, r.applications)
@@ -230,10 +239,12 @@ def test_tilted_sphere_path(monkeypatch):
     # two plain steps fill the history; the third and fourth steps take the
     # mixed candidate, the fifth rejects it and steps plainly, and after two
     # more plain steps the N=4 stage ends on a rejected step (the mix and
-    # seven plain trials) whose trials stay below the cap, so the N=16 and
+    # seven plain trials, each lowering lambda by more than lam_tol, so the
+    # search is exhausted) whose trials stay below the cap, so the N=16 and
     # N=64 stages would repeat it and run no iterations
     assert [row.step for row in trace.rows] == [0.25] + [0.5] * 6 + [0.0]
     assert [row.trials for row in trace.rows] == [2, 1, 1, 1, 2, 1, 1, 8]
+    assert [row.search for row in trace.rows] == ["accepted"] * 7 + ["exhausted"]
     assert [row.mixed for row in trace.rows] == [False] * 2 + [True] * 2 + [False] * 4
     assert trace.skipped_stages == [16.0, 64.0]
 
@@ -501,7 +512,9 @@ def test_detect_collapse_matches_all_pairs(sphere3, eq_torus16, case):
 def test_collapse_search_counts_distance_rows(sphere4, eq_torus16, monkeypatch):
     # Distance rows per call: the double sweep's two, one for the multi-source
     # search that finds each vertex's nearest centre, and one per ball searched.
-    # A full search from every vertex, as before the net, takes V + 2.
+    # Where every ball holds one vertex (s = 1, eq_torus16) each vertex is its
+    # own centre and the multi-source search is skipped: V + 2, as a full
+    # search from every vertex takes.
     rows = []
 
     def counting(graph, **kwargs):
@@ -512,11 +525,12 @@ def test_collapse_search_counts_distance_rows(sphere4, eq_torus16, monkeypatch):
     for mesh, searched in ((sphere4, None), (eq_torus16, eq_torus16.vertex_count)):
         rows.clear()
         out = detect_collapse(uniform_density(mesh))
-        assert sum(rows) == out["centres"] + 3
         if searched is None:
+            assert sum(rows) == out["centres"] + 3
             assert sum(rows) < mesh.vertex_count / 4
         else:
             assert out["centres"] == searched
+            assert sum(rows) == searched + 2
 
 
 def test_collapse_search_memory():
@@ -631,6 +645,6 @@ def test_trace_csv_rows_shape(sphere3):
     cfg = AscentConfig(n_schedule=(4.0,), max_iters=5)
     _, _, _, trace = maximize(sphere3, "uniform", cfg)
     header, rows = trace_csv_rows(trace)
-    assert header[0] == "iter" and len(rows) == len(trace.rows)
+    assert header[0] == "iter" and header[-1] == "search" and len(rows) == len(trace.rows)
     assert "applications" in header
     assert all(len(r) == len(header) for r in rows)
