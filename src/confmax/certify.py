@@ -39,8 +39,8 @@ def certificate(mu, spectral, frame):
     ``max_ball_mass_upper`` bracket the heaviest ball of radius 0.05 x
     ``diameter``, the double-sweep edge-path diameter; ``centres`` counts the
     balls searched; ``flag``, that ball holding more than half the mass, is
-    the all-pairs test's exactly. The search runs afresh on each call, in
-    memory linear in V, and stores nothing on the mesh.
+    the all-pairs test's exactly. The search reads the net the mesh holds
+    (``mesh.collapse_net``, linear in V, built by the mesh's first search).
     """
     mesh = mu.mesh
     if not (spectral.mesh is frame.mesh is mesh):

@@ -11,6 +11,7 @@ import re
 import time
 from dataclasses import dataclass, field, fields
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -271,6 +272,67 @@ def _row_sums(inside, weights):
     return np.bincount(hit // v, weights=weights[hit % v])
 
 
+def _incidence(hits, shape):
+    """0/1 CSR matrix of the ascending flat (row * columns + column) indices `hits`."""
+    indptr = np.searchsorted(hits, shape[1] * np.arange(shape[0] + 1))
+    return csr_matrix((np.ones(hits.size), hits % shape[1], indptr), shape=shape)
+
+
+class CollapseNet(NamedTuple):
+    """The density-free half of detect_collapse on one mesh; ``mesh.collapse_net`` holds it.
+
+    graph is the edge graph stored in both directions (a directed search is
+    cheaper per call), diameter its double-sweep estimate and radius
+    COLLAPSE_RADIUS of it. centres are every s-th vertex in order of distance
+    from far, the vertex farthest from vertex 0, where s is the vertex count
+    of B(far, radius); cell maps each vertex to the row of its nearest centre,
+    and delta holds each centre's covering radius. ball and wide are 0/1
+    (centres, V) incidences of B(c, radius) and B(c, radius + delta_c). Where
+    s = 1 every vertex is a centre covering only itself: the covering search is
+    skipped and wide is ball. Everything is linear in V.
+    """
+    graph: csr_matrix
+    diameter: float
+    radius: float
+    centres: np.ndarray
+    cell: np.ndarray
+    delta: np.ndarray
+    ball: csr_matrix
+    wide: csr_matrix
+
+    @classmethod
+    def build(cls, mesh):
+        """Search the mesh's balls once, in blocks of sources filling one slab of _SLAB entries."""
+        v = mesh.vertex_count
+        g = csr_matrix((mesh.edge_lengths, mesh.edges.T), shape=(v, v))  # i < j
+        g = (g + g.T).tocsr()
+        far = int(np.argmax(dijkstra(g, indices=0)))
+        dfar = dijkstra(g, indices=far)
+        diam = float(dfar.max())
+        radius = COLLAPSE_RADIUS * diam
+        spacing = int(np.count_nonzero(dfar <= radius))
+        if spacing > 1:
+            centres = np.sort(np.argsort(dfar, kind="stable")[::spacing])
+            reach, _, nearest = dijkstra(g, indices=centres, min_only=True,
+                                         return_predecessors=True)
+            cell = np.searchsorted(centres, nearest)  # each vertex's centre, as a row of centres
+            delta = np.zeros(len(centres))
+            np.maximum.at(delta, cell, reach)
+        else:  # every ball holds one vertex: each vertex is a centre covering only itself
+            centres = cell = np.arange(v)
+            delta = np.zeros(v)
+        # widened by far more than an edge-path sum's rounding, so the cover holds in floats
+        outer = (radius + delta) * (1.0 + 1e-9)
+        ball, wide = [], []
+        for rows, d in _ball_rows(g, centres, outer.max()):
+            ball.append(np.flatnonzero(d <= radius) + rows.start * v)
+            if spacing > 1:  # at s = 1 every bound is its centre's own ball
+                wide.append(np.flatnonzero(d <= outer[rows, None]) + rows.start * v)
+        ball = _incidence(np.concatenate(ball), (len(centres), v))
+        wide = _incidence(np.concatenate(wide), ball.shape) if wide else ball
+        return cls(g, diam, radius, centres, cell, delta, ball, wide)
+
+
 def detect_collapse(mu):
     """Mass of the heaviest intrinsic ball of radius r = COLLAPSE_RADIUS * diam(M), bracketed.
 
@@ -290,54 +352,33 @@ def detect_collapse(mu):
       0.5. Those balls join lower and replace their centre's bound;
     - ``centres`` counts the balls searched.
     Where every ball holds one vertex (s = 1), each vertex is a centre and the
-    search is the all-pairs one: the covering search and the widened balls are
-    skipped, and upper = lower. Distances come in blocks of sources filling
-    one slab of _SLAB entries, and nothing is kept between calls: memory is
-    O(V + _SLAB).
+    search is the all-pairs one, with upper = lower. The net, its radii and
+    both ball incidences depend on the mesh alone: the first call builds them
+    into ``mesh.collapse_net`` (a CollapseNet, linear in V), and every call
+    takes the bounds as two sparse products, each ball summed in vertex order.
+    Only the exact balls are searched per call, on the held graph, in blocks
+    of sources filling one slab of _SLAB entries: O(V + _SLAB) memory.
     """
     mesh = mu.mesh
-    v = mesh.vertex_count
-    g = csr_matrix((mesh.edge_lengths, mesh.edges.T), shape=(v, v))  # i < j
-    g = (g + g.T).tocsr()  # both directions once: a directed search is cheaper per call
-    far = int(np.argmax(dijkstra(g, indices=0)))
-    dfar = dijkstra(g, indices=far)
-    diam = float(dfar.max())
-    radius = COLLAPSE_RADIUS * diam
+    net = mesh.collapse_net
     vmass = mu.values * mesh.vertex_areas
-    gain = np.maximum(vmass, 0.0)  # a floor below 0 gives balls negative annuli
-    spacing = int(np.count_nonzero(dfar <= radius))
-    if spacing > 1:
-        centres = np.sort(np.argsort(dfar, kind="stable")[::spacing])
-        reach, _, nearest = dijkstra(g, indices=centres, min_only=True,
-                                     return_predecessors=True)
-        cell = np.searchsorted(centres, nearest)  # each vertex's centre, as a row of centres
-        delta = np.zeros(len(centres))
-        np.maximum.at(delta, cell, reach)
-    else:  # every ball holds one vertex: each vertex is a centre covering only itself
-        centres = cell = np.arange(v)
-        delta = np.zeros(v)
-    # widened by far more than an edge-path sum's rounding, so the cover holds in floats
-    wide = (radius + delta) * (1.0 + 1e-9)
-    lower, upper = np.empty(len(centres)), np.empty(len(centres))
-    for rows, d in _ball_rows(g, centres, wide.max()):
-        lower[rows] = _row_sums(d <= radius, vmass)
-        if spacing > 1:  # at s = 1 every bound is its centre's own ball
-            upper[rows] = _row_sums(d <= wide[rows, None], gain)
-    upper = np.where(delta > 0.0, upper, lower)
-    heaviest, searched = lower.max(), len(centres)
+    lower = net.ball @ vmass
+    # a floor below 0 gives balls negative annuli, so the widened balls sum the positive part
+    upper = np.where(net.delta > 0.0, net.wide @ np.maximum(vmass, 0.0), lower)
+    heaviest, searched = lower.max(), len(net.centres)
     if heaviest <= 0.5 < upper.max():
         open_ = upper > 0.5
-        sources = np.flatnonzero(open_[cell])
+        sources = np.flatnonzero(open_[net.cell])
         exact = np.empty(len(sources))
-        for rows, d in _ball_rows(g, sources, radius):
-            exact[rows] = _row_sums(d <= radius, vmass)
-        best = np.full(len(centres), -np.inf)
-        np.maximum.at(best, cell[sources], exact)
+        for rows, d in _ball_rows(net.graph, sources, net.radius):
+            exact[rows] = _row_sums(d <= net.radius, vmass)
+        best = np.full(len(net.centres), -np.inf)
+        np.maximum.at(best, net.cell[sources], exact)
         upper[open_] = best[open_]
         heaviest, searched = max(heaviest, exact.max()), searched + len(sources)
     return {"max_ball_mass": {COLLAPSE_RADIUS: float(heaviest)},
             "max_ball_mass_upper": {COLLAPSE_RADIUS: float(upper.max())},
-            "flag": bool(heaviest > 0.5), "diameter": diam, "centres": int(searched)}
+            "flag": bool(heaviest > 0.5), "diameter": net.diameter, "centres": int(searched)}
 
 
 def make_initial_density(mesh, init, floor, cap, seed=0):

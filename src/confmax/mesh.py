@@ -68,8 +68,10 @@ class TriangleMesh:
     genus : int
     embedding : (V, 3) float array the lengths were measured on (from_embedding), or None
 
-    All are set at construction. Two values are cached on the mesh: `element_slots`,
-    built on first assembly, linear in F; and `stiffness`, its one StiffnessMatrix.
+    All are set at construction. Three values are cached on the mesh, each built
+    on first use: `element_slots`, linear in F; `stiffness`, its one
+    StiffnessMatrix; and `collapse_net`, the centres, radii and ball incidences
+    every collapse search reads, linear in V.
     """
 
     def __init__(self, vertex_count, triangles, edge_lengths):
@@ -107,6 +109,12 @@ class TriangleMesh:
     def stiffness(self):
         """The cotangent StiffnessMatrix, whose factor every pencil solve on the mesh shares."""
         return assemble_stiffness(self)
+
+    @cached_property
+    def collapse_net(self):
+        """The CollapseNet whose two ball incidences bound every collapse search on the mesh."""
+        from .maximizer import CollapseNet  # local import: maximizer depends on this module
+        return CollapseNet.build(self)
 
     # -- construction helpers -------------------------------------------------
 

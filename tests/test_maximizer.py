@@ -509,12 +509,14 @@ def test_detect_collapse_matches_all_pairs(sphere3, eq_torus16, case):
         assert mu.values.min() == -0.5 / mesh.area
 
 
-def test_collapse_search_counts_distance_rows(sphere4, eq_torus16, monkeypatch):
-    # Distance rows per call: the double sweep's two, one for the multi-source
-    # search that finds each vertex's nearest centre, and one per ball searched.
-    # Where every ball holds one vertex (s = 1, eq_torus16) each vertex is its
-    # own centre and the multi-source search is skipped: V + 2, as a full
-    # search from every vertex takes.
+def test_collapse_search_counts_distance_rows(monkeypatch):
+    # Distance rows of a mesh's first call: the double sweep's two, one for the
+    # multi-source search that finds each vertex's nearest centre, and one per
+    # ball searched. Where every ball holds one vertex (s = 1, the equilateral
+    # n=16 torus) each vertex is its own centre and the multi-source search is
+    # skipped: V + 2, as a full search from every vertex takes. The mesh holds
+    # the net, so a later call at uniform, which opens no exact ball, takes
+    # none. Freshly generated meshes: a shared fixture may be searched already.
     rows = []
 
     def counting(graph, **kwargs):
@@ -522,7 +524,8 @@ def test_collapse_search_counts_distance_rows(sphere4, eq_torus16, monkeypatch):
         return dijkstra(graph, **kwargs)
 
     monkeypatch.setattr(confmax.maximizer, "dijkstra", counting)
-    for mesh, searched in ((sphere4, None), (eq_torus16, eq_torus16.vertex_count)):
+    torus = gen_flat_torus(EQUILATERAL, 16, 16)
+    for mesh, searched in ((gen_icosphere(4), None), (torus, torus.vertex_count)):
         rows.clear()
         out = detect_collapse(uniform_density(mesh))
         if searched is None:
@@ -531,18 +534,27 @@ def test_collapse_search_counts_distance_rows(sphere4, eq_torus16, monkeypatch):
         else:
             assert out["centres"] == searched
             assert sum(rows) == searched + 2
+        rows.clear()
+        assert detect_collapse(uniform_density(mesh)) == out
+        assert rows == []
 
 
 def test_collapse_search_memory():
-    # A call peaks while a block of sources is searched: its distance slab of
-    # 2**18 float64 entries (2.1 MB) is filled while the previous block's is
-    # still bound, 4.2 MB. The slab's bool mask adds 0.26 MB; the block's ball
-    # entries (a 0.05 x diam ball holds 0.6% of V, so 1.6K hits) 20 KB; the
-    # graph and O(V) vectors under 1 MB at icosphere 5. 8 MB bounds that
-    # (measured: 4.5 MB at icosphere 4, 5.1 MB at icosphere 5). Keeping every
-    # vertex's 0.05 ball would take 0.62M entries, 3.1 MB, at icosphere 5 and
-    # grow as V^2. Nothing outlives the call: the mesh gains no attribute, and
-    # what stays traced is under one V-vector of float64.
+    # A first call peaks while a block of sources is searched: its distance slab
+    # of 2**18 float64 entries (2.1 MB) is filled while the previous block's is
+    # still bound, 4.2 MB. The slab's bool mask adds 0.26 MB, the net's ball
+    # entries and the graph and O(V) vectors under 2 MB at icosphere 5. 8 MB
+    # bounds that (measured: 3.7 MB at icosphere 4, 5.8 MB at icosphere 5).
+    # The mesh gains exactly its net, linear in V. Per vertex: the graph's
+    # 2E = 6V entries at 12 B (float64 length, int32 index) and its indptr,
+    # 76 B; each vertex's cell, 8 B; the two incidences at 12 B per entry,
+    # B(c, r) about 1.2 entries per vertex and B(c, r + delta_c) about 7. So
+    # 256 B per vertex leaves room for 14 incidence entries per vertex
+    # (measured: 180 B at icosphere 4, 184 B at icosphere 5). Keeping every
+    # vertex's ball would grow as V^2. A second call reads the net: it peaks
+    # at its mass vector and that vector's positive part, and a few
+    # centre-sized sums, under four V-vectors of float64 (measured: 17 and
+    # 16 B per vertex), and keeps nothing.
     for level in (4, 5):
         mesh = gen_icosphere(level)
         mu = uniform_density(mesh)
@@ -552,12 +564,47 @@ def test_collapse_search_memory():
             detect_collapse(mu)
             gc.collect()
             kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            detect_collapse(mu)
+            gc.collect()
+            again, second_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        n = mesh.vertex_count
         assert peak <= 8e6
-        assert kept < 8 * mesh.vertex_count
-        assert vars(mesh).keys() == held.keys()
+        assert kept < 256 * n
+        assert second_peak - kept < 4 * 8 * n
+        assert again - kept < 8 * n
+        assert vars(mesh).keys() == held.keys() | {"collapse_net"}
         assert all(vars(mesh)[k] is v for k, v in held.items())
+
+
+@pytest.mark.parametrize("mesh_name, case", [
+    ("sphere3", "uniform"), ("sphere3", "random"), ("sphere3", "signed"),
+    ("sphere3", "refined"), ("eq_torus16", "uniform"), ("eq_torus16", "random")])
+def test_collapse_record_same_on_every_call(mesh_name, case):
+    # The held net makes a later call two products over the same balls: its
+    # record equals the first call's bit for bit, and equals the first call's
+    # on a freshly generated copy of the mesh, whatever density searched the
+    # mesh before. The refined densities run the exact balls on each call.
+    make = {"sphere3": lambda: gen_icosphere(3),
+            "eq_torus16": lambda: gen_flat_torus(EQUILATERAL, 16, 16)}[mesh_name]
+    mesh = make()
+    for mu in _bracket_densities(mesh, _all_pairs(mesh), case):
+        fresh = DensityField(make(), mu.values, mu.floor, mu.cap)
+        first = detect_collapse(fresh)
+        assert detect_collapse(fresh) == first
+        assert detect_collapse(mu) == detect_collapse(mu) == first
+
+
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+def test_certificate_collapse_is_the_final_density_record():
+    # maximize searches twice on its mesh, in its own status check and in the
+    # certificate; the certificate's record is the final density's on a mesh
+    # that was never searched
+    mu, *_, trace = maximize(gen_icosphere(2), "random:0", AscentConfig())
+    fresh = DensityField(gen_icosphere(2), mu.values, mu.floor, mu.cap)
+    assert trace.certificate["collapse"] == detect_collapse(fresh)
 
 
 def test_double_sweep_diameter_exact_on_flat_torus(eq_torus16):
@@ -609,6 +656,19 @@ def test_point_mass_start_ends_in_collapse():
     collapse = trace.certificate["collapse"]
     assert collapse["flag"]
     assert collapse["max_ball_mass"][0.05] > 0.5
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a stalled ascent reports converged")
+@pytest.mark.filterwarnings("ignore:sphere constraint unattained")
+@pytest.mark.parametrize("lattice, seed", [(SQUARE, 2), (EQUILATERAL, 0)],
+                         ids=["square24-random2", "equilateral24-random0"])
+def test_stalled_torus_ascent_is_not_converged(lattice, seed):
+    # Each run ends on a rejected step at a split lambda_1 cluster, 1 to 2
+    # iterations in, with sphere residual 0.991 and 0.999 against the
+    # certificate's 5e-2: the frame never meets the sphere constraint, so
+    # the run has not converged
+    trace = maximize(gen_flat_torus(lattice, 24, 24), f"random:{seed}", AscentConfig())[3]
+    assert trace.status != "converged"
 
 
 @pytest.mark.filterwarnings("ignore:sphere constraint unattained")
